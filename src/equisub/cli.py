@@ -24,6 +24,7 @@ from . import matching as mt
 from . import normalization as nm
 from .errors import (
     BracketNotFound,
+    EnvelopeNotDownwardResponsive,
     EquisubError,
     MaxIterExceeded,
     MCNonMonotone,
@@ -38,6 +39,7 @@ SCHEMA_VERSION = 1
 
 SOLVER_ERRORS = (
     NoBracket,
+    EnvelopeNotDownwardResponsive,
     MaxIterExceeded,
     BracketNotFound,
     OptimizerStalled,
@@ -174,9 +176,9 @@ def cmd_match(cfg, out_dir, args):
         writer.writerow(header)
         for i, x in enumerate(xs):
             for j, y in enumerate(ys):
-                row = [x, y, f"{eq.mu[i, j]:.12g}"]
+                row = [x, y, repr(float(eq.mu[i, j]))]
                 if transfers is not None:
-                    row.append(f"{transfers[i, j]:.12g}")
+                    row.append(repr(float(transfers[i, j])))
                 writer.writerow(row)
 
     _write_report(
@@ -234,7 +236,7 @@ def cmd_invert(cfg, out_dir, args):
         writer = csv.writer(fh)
         writer.writerow(["good", "delta"])
         for g, dlt in zip(goods, result.delta):
-            writer.writerow([g, f"{dlt:.12g}"])
+            writer.writerow([g, repr(float(dlt))])
 
     _write_report(
         out_dir,
@@ -409,7 +411,6 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=".")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--verbose", action="store_true")
         p.set_defaults(func=fn)
 

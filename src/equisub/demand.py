@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.special import logsumexp, softmax
+from scipy.special import softmax
 
 from .diagnostics import PropertyReport
 from .errors import (
@@ -23,14 +23,18 @@ from .errors import (
     NoBracket,
 )
 from .normalization import Normalization
+from .roots import bisect, expand_bracket
 from .solver import SolveReport, SolverOptions, solve_normalized
 from .system import Bounds, SubsolutionHints, SupplySystem
 
 
 def demand_logit(delta: np.ndarray) -> np.ndarray:
-    """Closed-form multinomial shares s_z proportional to exp(delta_z)."""
+    """Closed-form multinomial shares s_z proportional to exp(delta_z).
+
+    delta is one quality vector (Z,) or a batch of rows (N, Z).
+    """
     delta = np.asarray(delta, dtype=float)
-    return softmax(delta)
+    return softmax(delta, axis=-1)
 
 
 def invert_logit(shares: np.ndarray, anchor: int = 0, K: float = 0.0) -> np.ndarray:
@@ -54,9 +58,7 @@ class DemandModel:
     utilities: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     draws: Optional[np.ndarray] = None
     closed_form: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    closed_form_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
     bounds: Optional[Bounds] = None
-    seed: Optional[int] = None
     label: str = "demand"
     # (C, D) with U = delta[None, :] * C + D when utilities are affine in
     # the own quality; enables exact per-coordinate share inversion
@@ -71,12 +73,7 @@ class DemandModel:
 
 def logit_model(dim: int) -> DemandModel:
     """Exact logit shares (no simulation)."""
-    return DemandModel(
-        dim=dim,
-        closed_form=demand_logit,
-        closed_form_batch=lambda D: softmax(D, axis=1),
-        label="logit",
-    )
+    return DemandModel(dim=dim, closed_form=demand_logit, label="logit")
 
 
 def logit_mc_model(dim: int, R: int, seed: int) -> DemandModel:
@@ -87,7 +84,6 @@ def logit_mc_model(dim: int, R: int, seed: int) -> DemandModel:
         dim=dim,
         utilities=lambda d, e: d[None, :] + e,
         draws=draws,
-        seed=seed,
         label="logit-mc",
         affine_parts=(np.ones_like(draws), draws),
     )
@@ -109,7 +105,6 @@ def rc_logit_model(x: np.ndarray, sigmas: np.ndarray, R: int, seed: int) -> Dema
         dim=Z,
         utilities=lambda d, e: d[None, :] + e,
         draws=draws,
-        seed=seed,
         label="rc-logit",
         affine_parts=(np.ones_like(draws), draws),
     )
@@ -129,7 +124,6 @@ def pure_characteristics_model(x: np.ndarray, R: int, seed: int, scale: float = 
         dim=x.size,
         utilities=lambda d, e: d[None, :] + e,
         draws=draws,
-        seed=seed,
         label="pure-characteristics",
         affine_parts=(np.ones_like(draws), draws),
     )
@@ -156,7 +150,6 @@ def bridge_model(tolls: np.ndarray, R: int, seed: int, beta: float = 0.0) -> Dem
         utilities=utilities,
         draws=draws,
         bounds=Bounds(np.full(Z, -np.inf), np.zeros(Z)),
-        seed=seed,
         label="bridge",
         affine_parts=(
             np.exp(-draws),
@@ -207,16 +200,6 @@ def _mc_coordinate_solver(model: DemandModel):
     return solver
 
 
-def _logit_coordinate_solver(target, p, z):
-    # e^t / (e^t + S) = s  =>  t = log s - log(1 - s) + log S
-    mask = np.ones(p.size, dtype=bool)
-    mask[z] = False
-    S = logsumexp(p[mask])
-    if not (0.0 < target < 1.0):
-        return None
-    return float(np.log(target) - np.log1p(-target) + S)
-
-
 def build_demand_system(model: DemandModel) -> SupplySystem:
     """Share equations as a balanced system (shares sum to one).
 
@@ -244,22 +227,20 @@ def build_demand_system(model: DemandModel) -> SupplySystem:
         envelopes=tuple(env(k) for k in range(1, Z)),
     )
 
-    if model.label == "logit":
-        coord_solver = _logit_coordinate_solver
-    elif model.closed_form is None and model.affine_parts is not None:
-        coord_solver = _mc_coordinate_solver(model)
-    else:
-        coord_solver = None
-    batch = model.closed_form_batch
-
+    coord_solver = None
+    batch = None
     sweep = None
     if model.label == "logit":
+        batch = demand_logit
 
         def sweep(q, p, pin):
             # the target shares determine the qualities up to translation and
             # the pin fixes the level, so the sweep jumps straight to the
             # root (the monotone iteration's limit from any subsolution)
             return p[pin] + np.log(q) - np.log(q[pin])
+
+    elif model.closed_form is None and model.affine_parts is not None:
+        coord_solver = _mc_coordinate_solver(model)
 
     return SupplySystem(
         dim=Z,
@@ -431,34 +412,16 @@ def residual_xi(
         t = np.asarray(gfam.g_inv(delta, x2, theta), dtype=float)
         return t - x1
 
-    out = np.empty_like(delta)
-    for i in range(delta.size):
-        target = delta[i]
+    def section(t):
+        return np.asarray(gfam.g(t, x2, theta), dtype=float) - delta
 
-        def h(t):
-            return float(gfam.g(np.array([t]), x2[i : i + 1], theta)[0]) - target
-
-        lo, hi, step = -1.0, 1.0, 1.0
-        n = 0
-        while h(lo) > 0:
-            step *= 2.0
-            lo -= step
-            n += 1
-            if n > 200:
-                raise GNotInvertible(f"no lower bracket for data point {i}")
-        step = 1.0
-        n = 0
-        while h(hi) < 0:
-            step *= 2.0
-            hi += step
-            n += 1
-            if n > 200:
-                raise GNotInvertible(f"no upper bracket for data point {i}")
-        while hi - lo > tol * max(1.0, abs(lo), abs(hi)):
-            mid = 0.5 * (lo + hi)
-            if h(mid) < 0:
-                lo = mid
-            else:
-                hi = mid
-        out[i] = 0.5 * (lo + hi) - x1[i]
-    return out
+    # g is increasing in t: walk down and up from t = 0 for the two ends
+    # of each bracket
+    zero = np.zeros_like(delta)
+    try:
+        lo, _ = expand_bracket(section, zero, fx0=np.inf, closed=True, max_expansions=200)
+        _, hi = expand_bracket(section, zero, fx0=-np.inf, max_expansions=200)
+    except NoBracket as exc:
+        raise GNotInvertible(f"no bracket for data point {exc.coordinate}") from exc
+    lo, hi = bisect(section, lo, hi, tol)
+    return 0.5 * (lo + hi) - x1

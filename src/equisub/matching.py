@@ -21,6 +21,7 @@ from .errors import (
     NonpositiveMatch,
 )
 from .normalization import Normalization
+from .roots import bisect, expand_bracket
 from .solver import SolveReport, SolverOptions, solve_normalized
 from .system import Bounds, SubsolutionHints, SupplySystem
 
@@ -79,8 +80,7 @@ DIST_AVERAGE = DistanceFamily(
 
 
 def _d_logmean(u, v):
-    # log((e^u + e^v)/2), computed stably
-    u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+    # log((e^u + e^v)/2), computed stably; logaddexp broadcasts u and v
     return np.logaddexp(u, v) - np.log(2.0)
 
 
@@ -109,43 +109,27 @@ def frontier_distance(
     found by bisection on t of payoff_y(payoff_x^{-1}(u - t)) - (v - t).
     """
 
+    log_w_lo, log_w_hi = np.log(w_bracket)
+
     def _x_inverse(target):
-        lo, hi = w_bracket
-        for _ in range(200):
-            mid = np.sqrt(lo * hi)  # geometric bisection: w spans many scales
-            if payoff_x(mid) < target:
-                lo = mid
-            else:
-                hi = mid
-            if hi / lo < 1 + 1e-15:
-                break
-        return hi
+        # bisection on log w: w spans many scales
+        log_w = bisect(lambda s: payoff_x(np.exp(s)) - target, log_w_lo, log_w_hi, 1e-15)[1]
+        return np.exp(log_w)
 
-    def _d_scalar(u, v):
+    def d(u, v):
+        u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+
         def h(t):
-            w = _x_inverse(u - t)
-            return payoff_y(w) - (v - t)
+            return payoff_y(_x_inverse(u - t)) - (v - t)
 
-        # h is increasing in t: both payoff_y(w(u - t)) and t - v rise with t
-        lo, hi = -1.0, 1.0
-        step = 1.0
-        while h(lo) > 0:
-            step *= 2.0
-            lo -= step
-        step = 1.0
-        while h(hi) < 0:
-            step *= 2.0
-            hi += step
-        while hi - lo > tol * max(1.0, abs(lo), abs(hi)):
-            mid = 0.5 * (lo + hi)
-            if h(mid) < 0:
-                lo = mid
-            else:
-                hi = mid
+        # h is increasing in t: both payoff_y(w(u - t)) and t - v rise with t;
+        # walk down and up from t = 0 for the two ends of the bracket
+        lo, _ = expand_bracket(h, np.zeros(u.shape), fx0=np.inf, closed=True)
+        _, hi = expand_bracket(h, np.zeros(u.shape), fx0=-np.inf)
+        lo, hi = bisect(h, lo, hi, tol)
         return 0.5 * (lo + hi)
 
-    d_vec = np.vectorize(_d_scalar, otypes=[float])
-    return DistanceFamily(d=lambda u, v: d_vec(u, v), label="frontier")
+    return DistanceFamily(d=d, label="frontier")
 
 
 # ----------------------------------------------------------------------
@@ -203,9 +187,9 @@ class MatchingFamily:
         return self.phi.shape
 
     def log_match(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """log M_xy for fee vectors a (X,) and b (Y,)."""
-        a = np.asarray(a, dtype=float)[:, None]
-        b = np.asarray(b, dtype=float)[None, :]
+        """log M_xy for fee vectors a (..., X) and b (..., Y): (..., X, Y)."""
+        a = np.asarray(a, dtype=float)[..., :, None]
+        b = np.asarray(b, dtype=float)[..., None, :]
         if self.kind == "NTU":
             return self.phi + a + b
         if self.alpha is None:  # surplus-only TU
@@ -248,13 +232,8 @@ def itu_family(alpha, gamma, distance: DistanceFamily) -> MatchingFamily:
 
 def matching_function_eval(family: MatchingFamily, a_x: float, b_y: float, pair: Tuple[int, int]) -> float:
     """Single-pair evaluation M_xy(a_x, b_y)."""
-    x, y = pair
-    if family.kind == "NTU":
-        return float(np.exp(family.phi[x, y] + a_x + b_y))
-    if family.alpha is None:  # surplus-only TU
-        return float(np.exp(0.5 * (family.phi[x, y] + a_x + b_y)))
-    d = family.distance.d(-a_x - family.alpha[x, y], -b_y - family.gamma[x, y])
-    return float(np.exp(-d))
+    X, Y = family.shape
+    return float(np.exp(family.log_match(np.full(X, a_x), np.full(Y, b_y))[pair]))
 
 
 # ----------------------------------------------------------------------
@@ -287,31 +266,6 @@ class MarketPrimitives:
         return self.family.shape
 
 
-def _tu_like_coordinate_solver(fam: MatchingFamily, X: int, Y: int, scale: float):
-    """Closed-form coordinate update for log-linear families.
-
-    For TU (scale 1/2) and NTU (scale 1), log M = scale * phi-part + scale*(a+b)
-    after absorbing constants, so each accounting equation is solvable in
-    closed form for one fee given the others.
-    """
-    phi = fam.phi
-
-    def solver(target, p, z):
-        if z < X:
-            # X row: -sum_y M(-p_z, b) = target, i.e. sum_y M = -target = n_x
-            b = p[X:]
-            s = logsumexp(scale * (phi[z, :] + b))
-            # log sum_y M = scale * a + s  with a = -p_z
-            a = (np.log(-target) - s) / scale
-            return -a
-        j = z - X
-        a = -p[:X]
-        s = logsumexp(scale * (phi[:, j] + a))
-        return (np.log(target) - s) / scale
-
-    return solver
-
-
 def _itu_coordinate_solver(fam: MatchingFamily, X: int, Y: int):
     """Safeguarded Newton for one accounting equation of a transfer family.
 
@@ -319,65 +273,24 @@ def _itu_coordinate_solver(fam: MatchingFamily, X: int, Y: int):
     (e.g. the harmonic-mean family saturates), so the bracket expansion
     reports unreachable targets through NoBracket.
     """
-    from .errors import NoBracket
-
     dist = fam.distance
 
     def solver(target, p, z):
-        if z < X:
-            # row x: -sum_y M(a, b) = target with a = -p_z
-            b = p[X:]
-            alpha_r = fam.alpha[z]
-            gamma_r = fam.gamma[z]
-            goal = -target
-
-            def F(a):
-                u = -a - alpha_r
-                v = -b - gamma_r
-                M = np.exp(-dist.d(u, v))
-                return M.sum(), (M * dist.grad_u(u, v)).sum()
-
-            x0 = -p[z]
+        # row x: sum_y M(a_x, b) = n_x = -target in a_x = -p_z;
+        # column y: sum_x M(a, b_y) = m_y = target in b_y = p_z
+        row = z < X
+        if row:
+            sign, own, other, grad = -1.0, fam.alpha[z], -p[X:] - fam.gamma[z], dist.grad_u
         else:
-            j = z - X
-            a = -p[:X]
-            alpha_c = fam.alpha[:, j]
-            gamma_c = fam.gamma[:, j]
-            goal = target
+            sign, own, other, grad = 1.0, fam.gamma[:, z - X], p[:X] - fam.alpha[:, z - X], dist.grad_v
 
-            def F(bv):
-                u = -a - alpha_c
-                v = -bv - gamma_c
-                M = np.exp(-dist.d(u, v))
-                return M.sum(), (M * dist.grad_v(u, v)).sum()
+        def F(fee):
+            uv = (-fee - own, other) if row else (other, -fee - own)
+            M = np.exp(-dist.d(*uv))
+            return M.sum(), (M * grad(*uv)).sum()
 
-            x0 = p[z]
-
-        f0, _ = F(x0)
-        step = 1.0
-        if f0 >= goal:
-            hi = x0
-            lo = x0 - step
-            n = 0
-            while F(lo)[0] >= goal:
-                step *= 2.0
-                hi = lo
-                lo -= step
-                n += 1
-                if n > 64:
-                    raise NoBracket("section stays above the target", coordinate=z)
-        else:
-            lo = x0
-            hi = x0 + step
-            n = 0
-            while F(hi)[0] < goal:
-                step *= 2.0
-                lo = hi
-                hi += step
-                n += 1
-                if n > 64:
-                    raise NoBracket("section cannot reach the target", coordinate=z)
-
+        goal = sign * target
+        lo, hi = expand_bracket(lambda t: F(t)[0] - goal, sign * p[z])
         t = 0.5 * (lo + hi)
         for _ in range(100):
             f, fp = F(t)
@@ -398,7 +311,7 @@ def _itu_coordinate_solver(fam: MatchingFamily, X: int, Y: int):
                 break
             t = t_new
 
-        return -t if z < X else t
+        return sign * t
 
     return solver
 
@@ -417,28 +330,10 @@ def build_mfe_system(prim: MarketPrimitives) -> Tuple[SupplySystem, np.ndarray]:
     X, Y = fam.shape
     dim = X + Y
 
-    def split(p):
-        return -p[:X], p[X:]
-
     def q_of_p(p):
-        a, b = split(p)
-        mu = np.exp(fam.log_match(a, b))
-        return np.concatenate([-mu.sum(axis=1), mu.sum(axis=0)])
-
-    def q_batch(P):
-        a = -P[:, :X]
-        b = P[:, X:]
-        if fam.kind == "NTU":
-            logmu = fam.phi[None, :, :] + a[:, :, None] + b[:, None, :]
-        elif fam.alpha is None:
-            logmu = 0.5 * (fam.phi[None, :, :] + a[:, :, None] + b[:, None, :])
-        else:
-            logmu = -fam.distance.d(
-                -a[:, :, None] - fam.alpha[None, :, :],
-                -b[:, None, :] - fam.gamma[None, :, :],
-            )
-        mu = np.exp(logmu)
-        return np.concatenate([-mu.sum(axis=2), mu.sum(axis=1)], axis=1)
+        # p is one price vector (dim,) or a batch of rows (N, dim)
+        mu = np.exp(fam.log_match(-p[..., :X], p[..., X:]))
+        return np.concatenate([-mu.sum(axis=-1), mu.sum(axis=-2)], axis=-1)
 
     pin = X  # first Y-side coordinate
     ordering = (pin,) + tuple(range(X)) + tuple(range(X + 1, dim))
@@ -452,14 +347,7 @@ def build_mfe_system(prim: MarketPrimitives) -> Tuple[SupplySystem, np.ndarray]:
 
     def y_envelope(j):
         def env(p):
-            a, b = split(p)
-            if fam.kind == "NTU":
-                logcol = fam.phi[:, j] + a + b[j]
-            elif fam.alpha is None:
-                logcol = 0.5 * (fam.phi[:, j] + a + b[j])
-            else:
-                logcol = -fam.distance.d(-a - fam.alpha[:, j], -b[j] - fam.gamma[:, j])
-            return float(np.exp(logcol).sum())
+            return float(np.exp(fam.log_match(-p[:X], p[X:])[:, j]).sum())
 
         return env
 
@@ -471,17 +359,16 @@ def build_mfe_system(prim: MarketPrimitives) -> Tuple[SupplySystem, np.ndarray]:
     sweep = None
     if fam.kind in ("TU", "NTU"):
         scale = 0.5 if fam.kind == "TU" else 1.0
-        coord_solver = _tu_like_coordinate_solver(fam, X, Y, scale)
         phi = fam.phi
 
         def sweep(q, p, pin):
             # closed-form roots of every accounting equation at the current p
-            a, b = split(p)
+            a, b = -p[:X], p[X:]
             a_new = (np.log(-q[:X]) - logsumexp(scale * (phi + b[None, :]), axis=1)) / scale
             b_new = (np.log(q[X:]) - logsumexp(scale * (phi + a[:, None]), axis=0)) / scale
             return np.concatenate([-a_new, b_new])
 
-    elif fam.alpha is not None:
+    else:
         coord_solver = _itu_coordinate_solver(fam, X, Y)
 
     system = SupplySystem(
@@ -490,8 +377,9 @@ def build_mfe_system(prim: MarketPrimitives) -> Tuple[SupplySystem, np.ndarray]:
         bounds=Bounds.unbounded(dim),
         balance_constant=0.0,
         subsolution_hints=SubsolutionHints(ordering=ordering, envelopes=envelopes),
-        eval_batch=q_batch,
+        eval_batch=q_of_p,
         coordinate_solver=coord_solver,
+        sweep_solver=sweep,
         label=f"matching-{fam.kind}-{X}x{Y}",
     )
     q = np.concatenate([-prim.n, prim.m])

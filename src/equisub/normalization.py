@@ -12,6 +12,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .errors import NoBracket, NotDiagonallyStrict
+from .roots import bisect, expand_bracket
 
 
 @dataclass(frozen=True)
@@ -129,61 +130,24 @@ def renormalize(
     def _eval(p):
         p = np.asarray(p, dtype=float)
 
-        def h(t):
-            return float(raw(p - t * np.ones_like(p)))
+        def f(t):
+            # nondecreasing in t because raw is nondecreasing coordinatewise
+            return -float(raw(p - t * np.ones_like(p)))
 
-        lo, hi = 0.0, 0.0
-        f0 = h(0.0)
-        step = 1.0
-        if f0 > 0:
-            # root lies above: h decreasing in t
-            lo = 0.0
-            hi = step
-            n = 0
-            while h(hi) > 0:
-                n += 1
-                if n > max_expansions:
-                    if abs(h(hi) - f0) <= tol:
-                        raise NotDiagonallyStrict(
-                            "raw map is flat along the diagonal"
-                        )
-                    raise NoBracket("could not bracket the renormalization root")
-                lo = hi
-                step *= 2.0
-                hi += step
-        elif f0 < 0:
-            hi = 0.0
-            lo = -step
-            n = 0
-            while h(lo) < 0:
-                n += 1
-                if n > max_expansions:
-                    if abs(h(lo) - f0) <= tol:
-                        raise NotDiagonallyStrict(
-                            "raw map is flat along the diagonal"
-                        )
-                    raise NoBracket("could not bracket the renormalization root")
-                hi = lo
-                step *= 2.0
-                lo -= step
-        else:
-            lo = hi = 0.0
+        f0 = f(0.0)
+        root = 0.0
+        if f0 != 0:
+            try:
+                lo, hi = expand_bracket(f, 0.0, fx0=f0, closed=True, max_expansions=max_expansions)
+            except NoBracket as exc:
+                if abs(exc.last_value - f0) <= tol:
+                    raise NotDiagonallyStrict("raw map is flat along the diagonal") from exc
+                raise
+            root = float(bisect(f, lo, hi, tol)[1])
 
-        if hi > lo:
-            # leftmost root: keep the invariant h(lo) > 0 >= h(hi)
-            while hi - lo > tol * max(1.0, abs(lo), abs(hi)):
-                mid = 0.5 * (lo + hi)
-                if h(mid) > 0:
-                    lo = mid
-                else:
-                    hi = mid
-            root = hi
-        else:
-            root = 0.0
-
-        # flat-at-root detection: a strictly decreasing diagonal section has
-        # h > 0 just left of the root and h < 0 just right of it
-        if h(root + flat_probe) >= 0.0 or h(root - flat_probe) <= 0.0:
+        # flat-at-root detection: a strictly increasing diagonal section has
+        # f < 0 just left of the root and f > 0 just right of it
+        if f(root + flat_probe) <= 0.0 or f(root - flat_probe) >= 0.0:
             raise NotDiagonallyStrict("raw map is flat on an interval at its root")
         return root
 

@@ -1,0 +1,94 @@
+"""Left roots of nondecreasing scalar sections, element by element.
+
+Under gross substitutability every coordinate section t -> Q_z(t, p_-z) is
+nondecreasing, so each scalar equation the package solves has a root set
+that is an interval, and the solvers want its left end.  expand_bracket
+walks from a start point until the sign changes; bisect then halves the
+bracket on the predicate f >= 0.  Both work on arrays of independent
+equations: f maps an array of points to an array of values of the same
+shape.
+"""
+from __future__ import annotations
+
+from typing import Callable, Tuple
+
+import numpy as np
+
+from .errors import NoBracket
+
+Section = Callable[[np.ndarray], np.ndarray]
+
+
+def expand_bracket(
+    f: Section,
+    x0,
+    lower=-np.inf,
+    upper=np.inf,
+    *,
+    fx0=None,
+    closed: bool = False,
+    step: float = 1.0,
+    bound_margin: float = 0.0,
+    max_expansions: int = 64,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Bracket the left root of a nondecreasing f, element by element.
+
+    Returns (lo, hi) with f(lo) < 0 <= f(hi), or f(lo) <= 0 <= f(hi) when
+    closed.  An element whose start cannot serve as lo walks down from x0,
+    any other walks up, in steps 1, 2, 4, ... (times step); lo and hi are
+    the last two points of the walk, x0 counting as the first.  Probes stay
+    bound_margin inside the open box (lower, upper).  fx0 is f(x0) when the
+    caller already has it; +inf or -inf forces a walk down or up without
+    evaluating f at x0.
+
+    Raises NoBracket, naming the first failing element, when a walk hits
+    the box or has not crossed after max_expansions doublings of the step.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    fx = np.zeros(x0.shape) + (f(x0) if fx0 is None else fx0)
+    down = fx > 0 if closed else fx >= 0
+    sign = np.where(down, -1.0, 1.0)
+    lo_in, hi_in = np.add(lower, bound_margin), np.subtract(upper, bound_margin)
+
+    last = prev = x0
+    todo = np.ones(x0.shape, dtype=bool)
+    for _ in range(max_expansions + 1):
+        probe = np.where(todo, np.minimum(np.maximum(last + sign * step, lo_in), hi_in), last)
+        failed = todo & (sign * (probe - last) <= 0)
+        if failed.any():
+            reason = "keeps its sign up to the bound"
+            break
+        fp = np.asarray(f(probe), dtype=float)
+        prev = np.where(todo, last, prev)
+        last = probe
+        fx = np.where(todo, fp, fx)
+        todo &= ~np.where(down, (fp <= 0) if closed else (fp < 0), fp >= 0)
+        if not todo.any():
+            return np.where(down, last, prev), np.where(down, prev, last)
+        step *= 2.0
+    else:
+        failed, reason = todo, f"did not cross zero after {max_expansions} expansions"
+    i = int(np.flatnonzero(failed)[0])
+    where = f" at element {i}" if x0.ndim else ""
+    raise NoBracket(f"section {reason}{where}", coordinate=i, last_value=float(fx.flat[i]))
+
+
+def bisect(f: Section, lo, hi, tol: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Halve brackets around the left root of a nondecreasing f.
+
+    Keeps f(hi) >= 0 and moves lo up while f(mid) < 0, until each bracket is
+    narrower than tol * max(1, |lo|, |hi|) or can no longer be split.  lo
+    and hi broadcast against the values of f.  Returns (lo, hi); hi is the
+    left-root estimate.
+    """
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    while True:
+        mid = 0.5 * (lo + hi)
+        wide = hi - lo > tol * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+        active = wide & (mid > lo) & (mid < hi)
+        if not active.any():
+            return lo, hi
+        high = np.asarray(f(np.where(active, mid, hi)), dtype=float) >= 0
+        hi = np.where(active & high, mid, hi)
+        lo = np.where(active & ~high, mid, lo)

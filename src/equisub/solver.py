@@ -8,7 +8,7 @@ solver in a bisection on the pinned value to meet psi(p) = K.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -22,6 +22,7 @@ from .errors import (
     OutOfBounds,
 )
 from .normalization import Normalization
+from .roots import bisect, expand_bracket
 from .system import SupplySystem, eval_supply
 
 
@@ -56,10 +57,18 @@ class SolveReport:
         return bool(np.isfinite(self.residual))
 
 
-def _coord_eval(system: SupplySystem, p: np.ndarray, z: int, t: float) -> float:
-    trial = p.copy()
-    trial[z] = t
-    return float(np.asarray(system.eval_fn(trial), dtype=float)[z])
+def _walk(f, x0, system: SupplySystem, z: int, opts: SolverOptions, **kwargs):
+    """expand_bracket inside coordinate z's open interval, stepping as opts says."""
+    return expand_bracket(
+        f,
+        x0,
+        system.bounds.lower[z],
+        system.bounds.upper[z],
+        step=opts.initial_step,
+        bound_margin=opts.bound_margin,
+        max_expansions=opts.max_bracket_expansions,
+        **kwargs,
+    )
 
 
 def coordinate_update(
@@ -68,7 +77,6 @@ def coordinate_update(
     p: np.ndarray,
     z: int,
     opts: SolverOptions = SolverOptions(),
-    use_analytic: bool = True,
 ) -> float:
     """Solve Q_z(t, p_-z) = q[z] for t, biased to the left root.
 
@@ -79,85 +87,21 @@ def coordinate_update(
     p = np.asarray(p, dtype=float)
     target = float(q[z])
 
-    if use_analytic and system.coordinate_solver is not None:
-        t = system.coordinate_solver(target, p, z)
-        if t is not None:
-            return system.bounds.interior_clip(z, float(t), opts.bound_margin)
+    def section(t):
+        trial = p.copy()
+        trial[z] = t
+        return float(np.asarray(system.eval_fn(trial), dtype=float)[z]) - target
 
-    lo_b = system.bounds.lower[z]
-    hi_b = system.bounds.upper[z]
-    margin = opts.bound_margin
-
-    t0 = float(p[z])
-    f0 = _coord_eval(system, p, z, t0)
-
-    step = opts.initial_step
-    if f0 >= target:
-        # walk down until strictly below the target
-        hi = t0
-        lo = t0
-        n = 0
-        while True:
-            cand = lo - step
-            cand = system.bounds.interior_clip(z, cand, margin)
-            if cand >= lo:  # pinned against the lower bound
-                raise NoBracket(
-                    "section stays at or above the target down to the lower bound",
-                    coordinate=z,
-                    last_value=f0,
-                )
-            fval = _coord_eval(system, p, z, cand)
-            if fval < target:
-                lo = cand
-                break
-            lo = cand
-            f0 = fval
-            step *= 2.0
-            n += 1
-            if n > opts.max_bracket_expansions:
-                raise NoBracket(
-                    "bracket expansion cap hit while searching downward",
-                    coordinate=z,
-                    last_value=fval,
-                )
-    else:
-        lo = t0
-        hi = t0
-        n = 0
-        while True:
-            cand = hi + step
-            cand = system.bounds.interior_clip(z, cand, margin)
-            if cand <= hi:
-                raise NoBracket(
-                    "section stays below the target up to the upper bound",
-                    coordinate=z,
-                    last_value=f0,
-                )
-            fval = _coord_eval(system, p, z, cand)
-            if fval >= target:
-                hi = cand
-                break
-            hi = cand
-            f0 = fval
-            step *= 2.0
-            n += 1
-            if n > opts.max_bracket_expansions:
-                raise NoBracket(
-                    "bracket expansion cap hit while searching upward",
-                    coordinate=z,
-                    last_value=fval,
-                )
-
-    # invariant: Q_z(lo) < target <= Q_z(hi); bisect on the predicate
-    while hi - lo > opts.tol_inner * max(1.0, abs(lo), abs(hi)):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if _coord_eval(system, p, z, mid) >= target:
-            hi = mid
-        else:
-            lo = mid
-    return float(hi)
+    try:
+        if system.coordinate_solver is not None:
+            t = system.coordinate_solver(target, p, z)
+            if t is not None:
+                return system.bounds.interior_clip(z, float(t), opts.bound_margin)
+        lo, hi = _walk(section, p[z], system, z, opts)
+    except NoBracket as exc:
+        exc.coordinate = z
+        raise
+    return float(bisect(section, lo, hi, opts.tol_inner)[1])
 
 
 def build_subsolution(
@@ -201,26 +145,21 @@ def build_subsolution(
     for k in range(1, len(ordering)):
         z = ordering[k]
         env = hints.envelopes[k - 1]
-        t = p[z]
-        step = opts.initial_step
-        n = 0
-        while True:
+
+        def excess(t):
             p[z] = t
-            if env(p) <= q[z]:
-                break
-            cand = system.bounds.interior_clip(z, t - step, opts.bound_margin)
-            if cand >= t:
-                raise EnvelopeNotDownwardResponsive(
-                    f"envelope for coordinate {z} stays above its target at the lower bound"
-                )
-            t = cand
-            step *= 2.0
-            n += 1
-            if n > opts.max_bracket_expansions:
-                raise EnvelopeNotDownwardResponsive(
-                    f"envelope for coordinate {z} did not drop below its target "
-                    f"after {opts.max_bracket_expansions} expansions"
-                )
+            return env(p) - q[z]
+
+        f0 = excess(p[z])
+        if f0 <= 0:
+            continue
+        try:
+            lo, _ = _walk(excess, p[z], system, z, opts, fx0=f0, closed=True)
+        except NoBracket as exc:
+            raise EnvelopeNotDownwardResponsive(
+                f"envelope for coordinate {z} stays above its target: {exc}"
+            ) from exc
+        p[z] = lo
 
     qval = eval_supply(system, p)
     mask = np.ones(system.dim, dtype=bool)
@@ -329,16 +268,11 @@ def solve_normalized(
         pin = _default_pin(system)
 
     refining = opts.refine_factor < 1.0
-    tight_opts = SolverOptions(
+    tight_opts = replace(
+        opts,
         tol_outer=max(opts.tol_outer * opts.refine_factor, 1e-13),
         tol_inner=max(opts.tol_inner * (1e-2 if refining else 1.0), 1e-15),
-        tol_bracket=opts.tol_bracket,
         max_iter_jacobi=opts.max_iter_jacobi * (10 if refining else 1),
-        max_iter_bracket=opts.max_iter_bracket,
-        max_bracket_expansions=opts.max_bracket_expansions,
-        bound_margin=opts.bound_margin,
-        initial_step=opts.initial_step,
-        refine_factor=opts.refine_factor,
     )
 
     # pinning the same coordinate the normalization reads makes the outer
@@ -463,43 +397,12 @@ def solve_normalized(
         if rep0 is None:
             raise BracketNotFound("no pin value admits a pinned solution")
 
-    step = opts.initial_step
-    if val0 <= K:
-        lo, lo_val = g0, val0
-        hi = g0
-        n = 0
-        while True:
-            cand = system.bounds.interior_clip(pin, hi + step, margin)
-            if cand <= hi:
-                raise BracketNotFound(
-                    "normalization stays below the target up to the pin's upper bound"
-                )
-            v, _ = phi(cand)
-            hi = cand
-            if v >= K:
-                break
-            step *= 2.0
-            n += 1
-            if n > opts.max_bracket_expansions:
-                raise BracketNotFound("expansion cap hit searching upward for the bracket")
-    else:
-        hi = g0
-        lo = g0
-        n = 0
-        while True:
-            cand = system.bounds.interior_clip(pin, lo - step, margin)
-            if cand >= lo:
-                raise BracketNotFound(
-                    "normalization stays above the target down to the pin's lower bound"
-                )
-            v, _ = phi(cand)
-            lo = cand
-            if v <= K:
-                break
-            step *= 2.0
-            n += 1
-            if n > opts.max_bracket_expansions:
-                raise BracketNotFound("expansion cap hit searching downward for the bracket")
+    try:
+        lo, hi = _walk(lambda g: phi(float(g))[0] - K, g0, system, pin, opts, fx0=val0 - K, closed=True)
+    except NoBracket as exc:
+        raise BracketNotFound(f"normalization level {K} not bracketed: {exc}") from exc
+    # the dichotomy starts from the guess, not from the walk's previous probe
+    lo, hi = min(float(lo), g0), max(float(hi), g0)
 
     # exact-halving dichotomy: track (lo, width) so each recorded width is
     # exactly half of the previous one

@@ -72,9 +72,16 @@ class SupplySystem:
     """Q(p) = q problem data.
 
     eval_fn maps a 1-d price vector to the output vector.  Optional fields:
-    eval_batch evaluates an (N, dim) array of price rows at once,
-    coordinate_solver(target, p, z) returns the exact root of
-    Q_z(t, p_{-z}) = target when a closed form is available.
+
+    - eval_batch(P) maps an (N, dim) array of price rows to the (N, dim)
+      array of their outputs, row by row as eval_fn would;
+    - coordinate_solver(target, p, z) returns the root of
+      Q_z(t, p_{-z}) = target, or None to fall back to bracketing and
+      bisection of the section;
+    - sweep_solver(q, p, pin) returns the whole Jacobi sweep at p: every
+      coordinate's root given the others (the pinned entry is reset by the
+      caller).  When set, the pinned solver uses it instead of
+      coordinate-wise updates.
     """
 
     dim: int
@@ -113,8 +120,3 @@ def eval_supply(system: SupplySystem, p: np.ndarray) -> np.ndarray:
         )
     return q
 
-
-def feasible_targets(q: np.ndarray, c: float, tol: float = BALANCE_TOL) -> bool:
-    """Whether a target vector is consistent with the balance constant."""
-    q = np.asarray(q, dtype=float)
-    return bool(abs(q.sum() - c) <= tol * (1.0 + abs(c)))

@@ -5,8 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from equisub import matching
 from equisub import normalization as nz
 from equisub.cli import main
+from equisub.demand import invert_demand, logit_model
+from equisub.errors import EnvelopeNotDownwardResponsive
 from equisub.estimation import predicted_frequencies, tu_surplus_spec
 
 LN2 = np.log(2.0)
@@ -71,6 +74,18 @@ def test_match_unbalanced_masses_is_config_failure(tmp_path):
     assert main(["match", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
 
 
+def test_match_envelope_failure_is_solver_failure(tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise EnvelopeNotDownwardResponsive("envelope stays above its target")
+
+    monkeypatch.setattr(matching, "solve_mfe", fail)
+    cfg = write_json(tmp_path / "cfg.json", {
+        "market_csv": write_market(tmp_path, [[0.0, 0.0], [0.0, 0.0]]),
+        "masses_csv": write_masses(tmp_path, [1.0, 1.0], [1.0, 1.0]),
+    })
+    assert main(["match", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+
+
 # ----------------------------------------------------------------------
 # invert
 
@@ -94,6 +109,9 @@ def test_invert_logit_shares(tmp_path):
     with open(out / "deltas.csv") as fh:
         deltas = [float(r["delta"]) for r in csv.DictReader(fh)]
     assert np.allclose(deltas, [0.0, -LN2, -LN2], atol=1e-8)
+    # the CSV round-trips the solver's floats exactly
+    exact = invert_demand(logit_model(3), np.array([0.5, 0.25, 0.25]), nz.coordinate(0), 0.0)
+    assert deltas == exact.delta.tolist()
 
 
 def test_invert_rejects_incomplete_shares(tmp_path):

@@ -62,6 +62,24 @@ def test_ntu_eval():
     assert matching_function_eval(fam, -0.5, -0.5, (0, 0)) == pytest.approx(1.0)
 
 
+def test_log_match_batch_rows_equal_single_calls():
+    rng = np.random.default_rng(0)
+    alpha, gamma = rng.normal(size=(2, 3, 2))
+    families = [
+        tu_family(alpha=alpha, gamma=gamma),
+        tu_family(phi=alpha + gamma),
+        ntu_family(alpha + gamma),
+        etu_family(alpha, gamma),
+    ]
+    A = rng.normal(size=(4, 3))
+    B = rng.normal(size=(4, 2))
+    for fam in families:
+        batch = fam.log_match(A, B)
+        assert batch.shape == (4, 3, 2)
+        for a, b, row in zip(A, B, batch):
+            assert np.array_equal(row, fam.log_match(a, b))
+
+
 # ----------------------------------------------------------------------
 # distance maps
 
@@ -79,8 +97,11 @@ def test_distance_translation_property(u, v, t):
 def test_frontier_distance_recovers_average():
     # frontier u + v = 0, traced by (log w, -log w), gives the average map
     dist = frontier_distance(lambda w: np.log(w), lambda w: -np.log(w))
-    for u, v in [(0.0, 0.0), (1.0, -0.5), (-2.0, 3.0)]:
+    pairs = [(0.0, 0.0), (1.0, -0.5), (-2.0, 3.0)]
+    for u, v in pairs:
         assert dist.d(u, v) == pytest.approx(0.5 * (u + v), abs=1e-6)
+    u, v = np.array(pairs).T
+    assert dist.d(u, v) == pytest.approx(0.5 * (u + v), abs=1e-6)
 
 
 def test_frontier_distance_recovers_logmean():

@@ -27,6 +27,7 @@ from equisub.solver import (
     solve_normalized,
     solve_pinned,
 )
+from equisub.roots import bisect, expand_bracket
 from equisub.system import Bounds, SubsolutionHints, SupplySystem, eval_supply
 from equisub.matching import MarketPrimitives, build_mfe_system, tu_family
 
@@ -110,7 +111,7 @@ def test_coordinate_update_tu_1x1():
         family=tu_family(phi=np.zeros((1, 1))), n=np.array([1.0]), m=np.array([1.0])
     )
     system, q = build_mfe_system(prim)
-    t = coordinate_update(system, q, np.array([3.0, 0.0]), 0, use_analytic=False)
+    t = coordinate_update(system, q, np.array([3.0, 0.0]), 0)
     assert abs(t) < 1e-10  # -a = 0 solves exp(a/2) = 1
 
 
@@ -141,6 +142,32 @@ def test_coordinate_update_no_bracket():
     system = SupplySystem(dim=2, eval_fn=Q, bounds=Bounds.unbounded(2))
     with pytest.raises(NoBracket):
         coordinate_update(system, np.array([2.0, -2.0]), np.zeros(2), 0)
+
+
+# ----------------------------------------------------------------------
+# root kernel
+
+
+def test_bisect_array_matches_scalar_calls():
+    roots = np.array([-3.7, 0.0, 0.25, 12.5])
+
+    def section(r):
+        return lambda t: (t - r) * np.abs(t - r)
+
+    lo, hi = expand_bracket(section(roots), np.zeros(4))
+    _, batch = bisect(section(roots), lo, hi, 1e-12)
+    for r, got in zip(roots, batch):
+        lo_r, hi_r = expand_bracket(section(r), 0.0)
+        assert bisect(section(r), lo_r, hi_r, 1e-12)[1] == got
+    assert np.allclose(batch, roots, atol=1e-10)
+
+
+def test_expand_bracket_names_failing_element():
+    # element 2 asks tanh for a level it never reaches
+    levels = np.array([0.5, -0.5, 2.0])
+    with pytest.raises(NoBracket) as info:
+        expand_bracket(lambda t: np.tanh(t) - levels, np.zeros(3))
+    assert info.value.coordinate == 2
 
 
 # ----------------------------------------------------------------------
