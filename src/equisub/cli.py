@@ -61,7 +61,7 @@ def _load_config(path):
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
-def _norm_from_config(cfg, dim):
+def _norm_from_config(cfg):
     kind = cfg.get("kind", "coordinate")
     if kind == "coordinate":
         return nm.coordinate(int(cfg.get("index", 0)))
@@ -161,7 +161,7 @@ def cmd_match(cfg, out_dir, args):
     n, m = _read_masses_csv(cfg["masses_csv"], xs, ys)
     fam = _family_from_config(cfg.get("family", {"kind": "TU"}), phi, alpha, gamma)
     prim = mt.MarketPrimitives(family=fam, n=n, m=m)
-    norm = _norm_from_config(cfg.get("normalization", {}), len(xs) + len(ys))
+    norm = _norm_from_config(cfg.get("normalization", {}))
     K = float(cfg.get("K", 0.0))
     opts = _opts_from_config(cfg)
     eq = mt.solve_mfe(prim, norm, K, opts)
@@ -227,7 +227,7 @@ def _read_shares_csv(path):
 def cmd_invert(cfg, out_dir, args):
     goods, s = _read_shares_csv(cfg["shares_csv"])
     model = _model_from_config(cfg.get("model", {}), s.size, args.seed)
-    norm = _norm_from_config(cfg.get("normalization", {}), s.size)
+    norm = _norm_from_config(cfg.get("normalization", {}))
     K = float(cfg.get("K", 0.0))
     opts = _opts_from_config(cfg) if "tolerances" in cfg else None
     result = dm.invert_demand(model, s, norm, K, opts)
@@ -268,7 +268,7 @@ def _read_matches_csv(path):
 
 def cmd_estimate(cfg, out_dir, args):
     mode = cfg.get("mode", "mle")
-    norm = _norm_from_config(cfg.get("normalization", {}), 0)
+    norm = _norm_from_config(cfg.get("normalization", {}))
     K = float(cfg.get("K", 0.0))
     theta0 = np.asarray(cfg.get("theta0", [0.0]), dtype=float)
 

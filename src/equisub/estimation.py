@@ -23,7 +23,6 @@ from .errors import (
     ZeroPredictedCell,
 )
 from .matching import (
-    DIST_AVERAGE,
     DistanceFamily,
     MarketPrimitives,
     MatchingEquilibrium,
@@ -58,56 +57,30 @@ class ThetaSpec:
     distance: Optional[DistanceFamily] = None
 
     def __post_init__(self):
+        def table(t, shape):
+            return np.asarray(t, dtype=float) if t is not None else np.zeros(shape)
+
         if self.kind == "NTU":
             phi0 = np.asarray(self.phi0, dtype=float)
-            basis = (
-                np.asarray(self.phi_basis, dtype=float)
-                if self.phi_basis is not None
-                else np.zeros((0,) + phi0.shape)
-            )
             object.__setattr__(self, "phi0", phi0)
-            object.__setattr__(self, "phi_basis", basis)
+            object.__setattr__(self, "phi_basis", table(self.phi_basis, (0,) + phi0.shape))
             return
-        shape = None
-        for t in (self.alpha0, self.gamma0):
-            if t is not None:
-                shape = np.asarray(t).shape
-        if shape is None:
-            for bmat in (self.alpha_basis, self.gamma_basis):
-                if bmat is not None:
-                    shape = np.asarray(bmat).shape[1:]
-        if shape is None:
+        # the last given table fixes the shape (else the last basis), and the
+        # last given basis fixes d
+        tables = [np.shape(t) for t in (self.alpha0, self.gamma0) if t is not None]
+        bases = [np.shape(t) for t in (self.alpha_basis, self.gamma_basis) if t is not None]
+        if not tables and not bases:
             raise DimensionMismatch("cannot infer the table shape")
-        alpha0 = (
-            np.asarray(self.alpha0, dtype=float)
-            if self.alpha0 is not None
-            else np.zeros(shape)
-        )
-        gamma0 = (
-            np.asarray(self.gamma0, dtype=float)
-            if self.gamma0 is not None
-            else np.zeros(shape)
-        )
-        d = 0
-        for b in (self.alpha_basis, self.gamma_basis):
-            if b is not None:
-                d = np.asarray(b).shape[0]
-        ab = (
-            np.asarray(self.alpha_basis, dtype=float)
-            if self.alpha_basis is not None
-            else np.zeros((d,) + alpha0.shape)
-        )
-        gb = (
-            np.asarray(self.gamma_basis, dtype=float)
-            if self.gamma_basis is not None
-            else np.zeros((d,) + gamma0.shape)
-        )
+        shape = tables[-1] if tables else bases[-1][1:]
+        d = bases[-1][0] if bases else 0
+        alpha0 = table(self.alpha0, shape)
+        gamma0 = table(self.gamma0, shape)
+        ab = table(self.alpha_basis, (d,) + alpha0.shape)
+        gb = table(self.gamma_basis, (d,) + gamma0.shape)
         if ab.shape != gb.shape:
             raise DimensionMismatch("alpha and gamma bases must share a shape")
-        object.__setattr__(self, "alpha0", alpha0)
-        object.__setattr__(self, "gamma0", gamma0)
-        object.__setattr__(self, "alpha_basis", ab)
-        object.__setattr__(self, "gamma_basis", gb)
+        for name, value in (("alpha0", alpha0), ("gamma0", gamma0), ("alpha_basis", ab), ("gamma_basis", gb)):
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
@@ -141,114 +114,94 @@ def tu_surplus_spec(phi0: np.ndarray, basis: np.ndarray) -> ThetaSpec:
 
 
 # ----------------------------------------------------------------------
-# log-match derivative engine
+# per-cell derivative engine
 #
-# Every transfer family evaluates log M = -d(u, v) with u = -a - alpha,
-# v = -b - gamma and alpha, gamma affine in theta, so first and second
-# derivatives in (theta, a_x, b_y) reduce to the derivatives of d.  NTU is
-# log M = phi(theta) + a + b with vanishing curvature.
+# Cell (x, y) has log M = -d(u, v) with u = -a_x - alpha_xy, v = -b_y -
+# gamma_xy and alpha, gamma affine in theta, so it depends only on its own
+# d + 2 variables (theta, a_x, b_y), and the chain rule gives its gradient
+# and Hessian from the derivatives of d.  NTU is the case d_u = d_v = 1
+# with zero curvature and bases (phi_basis, 0).  Global derivatives in
+# (theta, a, b) are scatter-adds of these per-cell blocks, and the nested
+# gradient is one adjoint solve with the saddle-point multipliers.
 
 
-def _log_match_derivatives(spec: ThetaSpec, theta: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """Return (m, Dm, D2m): log-match values and derivatives.
+def _cell_blocks(spec: ThetaSpec, theta: np.ndarray, a: np.ndarray, b: np.ndarray, hessian: bool = False):
+    """Return (m, g, H, idx): per-cell log-match values and derivatives.
 
-    m is (X, Y); Dm is (X, Y, nv) and D2m is (X, Y, nv, nv) with variables
-    ordered theta (d), a (X), b (Y).
+    m is (X, Y); g (X, Y, d+2) and H (X, Y, d+2, d+2) are the gradient and
+    Hessian of log M_xy in its own variables (theta, a_x, b_y), H is None
+    unless requested; idx (X, Y, d+2) maps them into (theta, a, b).
     """
-    theta = np.asarray(theta, dtype=float)
     d = spec.dim
     X, Y = spec.table_shape
-    nv = d + X + Y
-    Dm = np.zeros((X, Y, nv))
-    D2m = np.zeros((X, Y, nv, nv))
-
+    fam = spec.family(np.atleast_1d(theta))
+    m = fam.log_match(a, b)
     if spec.kind == "NTU":
-        phi = spec.phi0 + np.tensordot(theta, spec.phi_basis, axes=1)
-        m = phi + a[:, None] + b[None, :]
-        for k in range(d):
-            Dm[:, :, k] = spec.phi_basis[k]
-        for x in range(X):
-            Dm[x, :, d + x] = 1.0
-        for y in range(Y):
-            Dm[:, y, d + X + y] = 1.0
-        return m, Dm, D2m
+        A, G = spec.phi_basis, np.zeros_like(spec.phi_basis)
+        Dd = np.ones((X, Y, 2))
+        D2d = np.zeros((X, Y, 2, 2))
+    else:
+        A, G = spec.alpha_basis, spec.gamma_basis
+        u = -a[:, None] - fam.alpha
+        v = -b[None, :] - fam.gamma
+        dist = fam.distance
+        Dd = np.stack([np.broadcast_to(t, (X, Y)) for t in (dist.grad_u(u, v), dist.grad_v(u, v))], -1)
+        duu, duv, dvv = dist.hess(u, v)
+        D2d = np.stack([np.broadcast_to(t, (X, Y)) for t in (duu, duv, duv, dvv)], -1).reshape(X, Y, 2, 2)
 
-    fam = spec.family(theta)
-    dist = fam.distance if fam.distance is not None else DIST_AVERAGE
-    u = -a[:, None] - fam.alpha
-    v = -b[None, :] - fam.gamma
-    m = -dist.d(u, v)
-    du = np.broadcast_to(dist.grad_u(u, v), (X, Y))
-    dv = np.broadcast_to(dist.grad_v(u, v), (X, Y))
-    duu, duv, dvv = (np.broadcast_to(h, (X, Y)) for h in dist.hess(u, v))
+    # P[x, y, i] is the gradient of (u, v)[i] in the cell's own variables
+    P = np.zeros((X, Y, 2, d + 2))
+    P[:, :, :, :d] = -np.moveaxis(np.stack([A, G]), (2, 3), (0, 1))
+    P[:, :, 0, d] = P[:, :, 1, d + 1] = -1.0
+    g = -np.einsum("xyi,xyik->xyk", Dd, P)
+    H = -np.einsum("xyik,xyij,xyjl->xykl", P, D2d, P) if hessian else None
 
-    A = spec.alpha_basis  # (d, X, Y)
-    G = spec.gamma_basis
-
-    # first derivatives: m_a = d_u, m_b = d_v, m_theta_k = d_u A_k + d_v G_k
-    for k in range(d):
-        Dm[:, :, k] = du * A[k] + dv * G[k]
-    for x in range(X):
-        Dm[x, :, d + x] = du[x, :]
-    for y in range(Y):
-        Dm[:, y, d + X + y] = dv[:, y]
-
-    # second derivatives via the chain rule on the affine inner maps
-    for x in range(X):
-        for y in range(Y):
-            ia, ib = d + x, d + X + y
-            H = D2m[x, y]
-            H[ia, ia] = -duu[x, y]
-            H[ib, ib] = -dvv[x, y]
-            H[ia, ib] = H[ib, ia] = -duv[x, y]
-            for k in range(d):
-                hak = -(duu[x, y] * A[k, x, y] + duv[x, y] * G[k, x, y])
-                hbk = -(duv[x, y] * A[k, x, y] + dvv[x, y] * G[k, x, y])
-                H[ia, k] = H[k, ia] = hak
-                H[ib, k] = H[k, ib] = hbk
-                for l in range(k, d):
-                    hkl = -(
-                        duu[x, y] * A[k, x, y] * A[l, x, y]
-                        + duv[x, y] * (A[k, x, y] * G[l, x, y] + G[k, x, y] * A[l, x, y])
-                        + dvv[x, y] * G[k, x, y] * G[l, x, y]
-                    )
-                    H[k, l] = H[l, k] = hkl
-    return m, Dm, D2m
+    idx = np.empty((X, Y, d + 2), dtype=np.intp)
+    idx[:, :, :d] = np.arange(d)
+    idx[:, :, d] = d + np.arange(X)[:, None]
+    idx[:, :, d + 1] = d + X + np.arange(Y)
+    return m, g, H, idx
 
 
-def _constraint_blocks(
+def _scatter(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """Sum values into a length-size vector at the given flat indices."""
+    return np.bincount(index.ravel(), weights=values.ravel(), minlength=size)
+
+
+def _first_order(
     spec: ThetaSpec,
     theta: np.ndarray,
     a: np.ndarray,
     b: np.ndarray,
-    n_hat: np.ndarray,
-    m_hat: np.ndarray,
+    mu_hat: np.ndarray,
     norm: Normalization,
     K: float,
+    hessian: bool = False,
 ):
-    """Constraint values, Jacobian and curvature.
+    """Constraint values G, Jacobian DG and log-likelihood gradient Dl.
 
-    Rows: X accounting rows, Y accounting rows, one normalization row
-    psi(-a, b) - K.  Columns span (theta, a, b).
+    Rows of G and DG (X+Y+1, nv): X accounting rows, Y accounting rows, one
+    normalization row psi(-a, b) - K; columns and Dl span nv = d + X + Y
+    variables (theta, a, b).  The log-likelihood is sum mu_hat log(M / N)
+    with N = sum M.  Also returns the cell blocks (M, g, H, idx) and
+    DlogN, the gradient of log N, for second-order assembly.
     """
     d = spec.dim
     X, Y = spec.table_shape
     nv = d + X + Y
-    m, Dm, D2m = _log_match_derivatives(spec, theta, a, b)
-    M = np.exp(m)
-    DM = M[:, :, None] * Dm
-    D2M = M[:, :, None, None] * (Dm[:, :, :, None] * Dm[:, :, None, :] + D2m)
-
     R = X + Y + 1
+    m, g, H, idx = _cell_blocks(spec, theta, a, b, hessian)
+    M = np.exp(m)
+    DM = M[:, :, None] * g
+
+    # each cell enters its row x and its column row X + y
+    rows = np.broadcast_to(np.arange(X)[:, None, None], idx.shape)
+    cols = np.broadcast_to(X + np.arange(Y)[None, :, None], idx.shape)
+    DG = _scatter(np.concatenate([rows * nv + idx, cols * nv + idx]), np.concatenate([DM, DM]), R * nv)
+    DG = DG.reshape(R, nv)
     G = np.empty(R)
-    DG = np.zeros((R, nv))
-    D2G = np.zeros((R, nv, nv))
-    G[:X] = M.sum(axis=1) - n_hat
-    G[X : X + Y] = M.sum(axis=0) - m_hat
-    DG[:X] = DM.sum(axis=1)
-    DG[X : X + Y] = DM.sum(axis=0)
-    D2G[:X] = D2M.sum(axis=1)
-    D2G[X : X + Y] = D2M.sum(axis=0)
+    G[:X] = M.sum(axis=1) - mu_hat.sum(axis=1)
+    G[X : X + Y] = M.sum(axis=0) - mu_hat.sum(axis=0)
 
     p = np.concatenate([-a, b])
     G[-1] = norm(p) - K
@@ -257,7 +210,21 @@ def _constraint_blocks(
     DG[-1, d + X :] = gp[X:]
     # shipped normalizations are piecewise linear: zero curvature
 
-    return M, Dm, D2m, DM, G, DG, D2G
+    # work with N-relative quantities to keep intermediates at unit scale
+    DlogN = _scatter(idx, DM / M.sum(), nv)
+    Dl = _scatter(idx, mu_hat[:, :, None] * g, nv) - mu_hat.sum() * DlogN
+    return G, DG, Dl, (M, g, H, idx, DlogN)
+
+
+def _multiplier(DG: np.ndarray, Dl: np.ndarray, d: int) -> np.ndarray:
+    """Least-squares lambda with DG_ab^T lambda = -Dl_ab.
+
+    The stacked constraint Jacobian in (a, b) has one redundant accounting
+    row; the normalization row restores full column rank, so the solve is
+    exact and picks the minimum-norm multiplier.
+    """
+    lam, *_ = np.linalg.lstsq(DG[:, d:].T, -Dl[d:], rcond=None)
+    return lam
 
 
 # ----------------------------------------------------------------------
@@ -290,26 +257,6 @@ def log_likelihood(mu_hat: np.ndarray, Pi: np.ndarray) -> float:
     return float(np.sum(mu_hat[pos] * np.log(Pi[pos])))
 
 
-def _fee_sensitivities(DG: np.ndarray, d: int, cond_cap: float = 1e12) -> np.ndarray:
-    """d(a,b)/dtheta from the implicit function theorem on the constraints.
-
-    The stacked constraint Jacobian in (a, b) has one redundant accounting
-    row, so the linear solve uses least squares on the full stack (the
-    normalization row restores full column rank).
-    """
-    J_ab = DG[:, d:]
-    J_th = DG[:, :d]
-    if not np.all(np.isfinite(J_ab)):
-        raise SingularConstraintJacobian("nonfinite constraint Jacobian")
-    s = np.linalg.svd(J_ab, compute_uv=False)
-    if s[-1] <= 0 or s[0] / s[-1] > cond_cap:
-        raise SingularConstraintJacobian(
-            f"constraint Jacobian condition {s[0] / max(s[-1], 1e-300):.3e} exceeds cap"
-        )
-    S, *_ = np.linalg.lstsq(J_ab, -J_th, rcond=None)
-    return S  # (X+Y, d)
-
-
 def likelihood_gradient(
     spec: ThetaSpec,
     theta: np.ndarray,
@@ -322,42 +269,32 @@ def likelihood_gradient(
     """Analytic gradient of the nested log-likelihood in theta.
 
     Combines the direct parameter effect on the matching function with the
-    equilibrium fee response obtained by differentiating the accounting
-    and normalization constraints.
+    equilibrium fee response, which the implicit function theorem on the
+    accounting and normalization constraints DG (theta, a, b) = 0 gives.
+    By the adjoint identity the response enters through the multiplier
+    lambda solving DG_ab^T lambda = -Dl_ab:  grad = Dl_theta + lambda^T DG_theta.
     """
-    theta = np.asarray(theta, dtype=float)
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
     mu_hat = np.asarray(mu_hat, dtype=float)
-    n_hat = mu_hat.sum(axis=1)
-    m_hat = mu_hat.sum(axis=0)
     if eq is None:
-        prim = MarketPrimitives(family=spec.family(theta), n=n_hat, m=m_hat)
-        eq = solve_mfe(prim, norm, K, opts)
+        _, eq = predicted_frequencies(
+            spec, theta, mu_hat.sum(axis=1), mu_hat.sum(axis=0), norm, K, opts
+        )
     d = spec.dim
-    X, Y = spec.table_shape
-
-    M, Dm, D2m, DM, G, DG, D2G = _constraint_blocks(
-        spec, theta, eq.a, eq.b, n_hat, m_hat, norm, K
-    )
-    S = _fee_sensitivities(DG, d)  # (X+Y, d)
-
-    # d mu / d theta: direct effect plus the fee response
-    Dmu = np.empty((X, Y, d))
-    for k in range(d):
-        fee_dir = DM[:, :, d:] @ S[:, k]  # (X, Y)
-        Dmu[:, :, k] = DM[:, :, k] + fee_dir
-
-    N = M.sum()
-    DN = Dmu.sum(axis=(0, 1))  # (d,)
-    # dPi = Dmu / N - mu * DN / N^2
-    Pi = M / N
-    pos = mu_hat > 0
-    if np.any(Pi[pos] <= 0):
+    _, DG, Dl, (M, *_) = _first_order(spec, theta, eq.a, eq.b, mu_hat, norm, K)
+    Pi = M / M.sum()
+    if np.any(Pi[mu_hat > 0] <= 0):
         raise ZeroPredictedCell("predicted frequency is zero on an observed cell")
-    grad = np.zeros(d)
-    for k in range(d):
-        dPi = Dmu[:, :, k] / N - M * DN[k] / N**2
-        grad[k] = np.sum(mu_hat[pos] * dPi[pos] / Pi[pos])
-    return grad
+
+    J_ab = DG[:, d:]
+    if not np.all(np.isfinite(J_ab)):
+        raise SingularConstraintJacobian("nonfinite constraint Jacobian")
+    s = np.linalg.svd(J_ab, compute_uv=False)
+    if s[-1] <= 0 or s[0] / s[-1] > 1e12:
+        raise SingularConstraintJacobian(
+            f"constraint Jacobian condition {s[0] / max(s[-1], 1e-300):.3e} exceeds cap"
+        )
+    return Dl[:d] + _multiplier(DG, Dl, d) @ DG[:, :d]
 
 
 @dataclass
@@ -392,9 +329,7 @@ def mle_nested(
     path: List[np.ndarray] = []
 
     def negloglik_and_grad(theta):
-        prim = MarketPrimitives(family=spec.family(theta), n=n_hat, m=m_hat)
-        eq = solve_mfe(prim, norm, K, opts)
-        Pi = eq.mu / eq.mu.sum()
+        Pi, eq = predicted_frequencies(spec, theta, n_hat, m_hat, norm, K, opts)
         val = log_likelihood(mu_hat, Pi)
         g = likelihood_gradient(spec, theta, mu_hat, norm, K, opts, eq=eq)
         path.append(np.asarray(theta, dtype=float).copy())
@@ -437,8 +372,7 @@ def mle_nested(
             value=-f_hat,
         )
 
-    prim = MarketPrimitives(family=spec.family(theta_hat), n=n_hat, m=m_hat)
-    eq = solve_mfe(prim, norm, K, opts)
+    _, eq = predicted_frequencies(spec, theta_hat, n_hat, m_hat, norm, K, opts)
     return MleResult(
         theta=theta_hat,
         loglik=-float(res.fun),
@@ -471,8 +405,6 @@ def mpec_residual(
     the Jacobian is the symmetric KKT matrix with a zero corner block.
     """
     mu_hat = np.asarray(mu_hat, dtype=float)
-    n_hat = mu_hat.sum(axis=1)
-    m_hat = mu_hat.sum(axis=0)
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -484,29 +416,24 @@ def mpec_residual(
     if lam.shape != (R,):
         raise DimensionMismatch(f"expected {R} multipliers")
 
-    M, Dm, D2m, DM, G, DG, D2G = _constraint_blocks(
-        spec, theta, a, b, n_hat, m_hat, norm, K
+    G, DG, Dl, (M, g, H, idx, DlogN) = _first_order(
+        spec, theta, a, b, mu_hat, norm, K, hessian=True
     )
-    N = M.sum()
     N_hat = mu_hat.sum()
 
-    # work with N-relative quantities to keep intermediates at unit scale
-    DlogN = DM.sum(axis=(0, 1)) / N
-    W = M / N
-    D2N_over_N = np.tensordot(W, Dm[:, :, :, None] * Dm[:, :, None, :] + D2m,
-                              axes=([0, 1], [0, 1]))
+    # Lagrangian Hessian, cell by cell: sum mu_hat log M contributes
+    # mu_hat H, -N_hat log N contributes -N_hat (M / N) (H + g g^T) plus
+    # N_hat DlogN DlogN^T, and the accounting rows x and X + y of the cell
+    # contribute (lambda_x + lambda_{X+y}) M (H + g g^T)
+    W = M / M.sum()
+    LM = (lam[:X, None] + lam[None, X : X + Y]) * M
+    c1 = mu_hat - N_hat * W + LM
+    c2 = LM - N_hat * W
+    blocks = c1[:, :, None, None] * H + c2[:, :, None, None] * (g[:, :, :, None] * g[:, :, None, :])
+    pairs = idx[:, :, :, None] * nv + idx[:, :, None, :]
+    D2L = _scatter(pairs, blocks, nv * nv).reshape(nv, nv) + N_hat * np.outer(DlogN, DlogN)
 
-    # log-likelihood in the free variables: sum mu_hat * (log M - log N)
-    Dl = np.tensordot(mu_hat, Dm, axes=([0, 1], [0, 1])) - N_hat * DlogN
-    D2l = (
-        np.tensordot(mu_hat, D2m, axes=([0, 1], [0, 1]))
-        - N_hat * (D2N_over_N - np.outer(DlogN, DlogN))
-    )
-
-    DL = Dl + lam @ DG
-    D2L = D2l + np.tensordot(lam, D2G, axes=1)
-
-    Psi = np.concatenate([DL, G])
+    Psi = np.concatenate([Dl + lam @ DG, G])
     J = np.zeros((nv + R, nv + R))
     J[:nv, :nv] = D2L
     J[:nv, nv:] = DG.T
@@ -525,19 +452,8 @@ def solve_multiplier(
 ) -> np.ndarray:
     """Least-squares multipliers making the fee-block stationarity vanish."""
     mu_hat = np.asarray(mu_hat, dtype=float)
-    n_hat = mu_hat.sum(axis=1)
-    m_hat = mu_hat.sum(axis=0)
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    d = spec.dim
-    M, Dm, D2m, DM, G, DG, D2G = _constraint_blocks(
-        spec, theta, a, b, n_hat, m_hat, norm, K
-    )
-    N = M.sum()
-    N_hat = mu_hat.sum()
-    DN = DM.sum(axis=(0, 1))
-    Dl = np.tensordot(mu_hat, Dm, axes=([0, 1], [0, 1])) - N_hat * DN / N
-    lam, *_ = np.linalg.lstsq(DG[:, d:].T, -Dl[d:], rcond=None)
-    return lam
+    _, DG, Dl, _ = _first_order(spec, theta, a, b, mu_hat, norm, K)
+    return _multiplier(DG, Dl, spec.dim)
 
 
 @dataclass

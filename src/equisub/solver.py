@@ -25,6 +25,9 @@ from .normalization import Normalization
 from .roots import bisect, expand_bracket
 from .system import SupplySystem, eval_supply
 
+# residual a sweep fixed point may keep per unit of ||q||_1 from rounding
+ROUNDING_FLOOR = 64 * np.finfo(float).eps
+
 
 @dataclass(frozen=True)
 class SolverOptions:
@@ -184,7 +187,8 @@ def solve_pinned(
 
     Starts from a subsolution (built from hints unless p0 is supplied).
     Convergence requires both the sup-norm residual and the sup-norm step
-    to fall below tol_outer.
+    to fall below tol_outer; an exact fixed point (step 0) may keep a
+    residual up to tol_outer + ROUNDING_FLOOR * ||q||_1.
     """
     q = np.asarray(q, dtype=float)
     if p0 is None:
@@ -211,7 +215,16 @@ def solve_pinned(
         qval = eval_supply(system, p_new)
         residual = float(np.max(np.abs(qval - q)))
         p = p_new
-        if residual <= opts.tol_outer and step <= opts.tol_outer:
+        # an exact fixed point of the sweep map (step 0) can make no further
+        # progress.  Its residual may sit at the rounding floor of the
+        # targets, of order eps * ||q||_1 for count-sized q (the scaling
+        # eval_supply's balance guard allows), and then it is converged;
+        # otherwise (e.g. simulated supply with finite resolution) stop now
+        # instead of spinning.
+        tol = opts.tol_outer
+        if step == 0.0:
+            tol += ROUNDING_FLOOR * np.abs(q).sum()
+        if residual <= tol and step <= opts.tol_outer:
             return SolveReport(
                 p_star=p,
                 residual=residual,
@@ -219,9 +232,6 @@ def solve_pinned(
                 monotone_certificate=monotone,
             )
         if step == 0.0:
-            # exact fixed point of the sweep map short of the tolerance
-            # (e.g. simulated supply with finite resolution): no further
-            # sweep can make progress, so stop now instead of spinning
             break
 
     report = SolveReport(

@@ -1,4 +1,6 @@
 """Likelihood and moment estimation of matching and demand parameters."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,18 @@ def test_predicted_frequencies_match_direct_solve():
     assert np.allclose(Pi, eq.mu / eq.mu.sum(), atol=1e-12)
 
 
+def test_predicted_frequencies_at_count_scale_rounding_floor():
+    # count-sized margins: the sweep reaches an exact fixed point whose
+    # residual (about 1.2e-9) sits at the rounding floor of the targets
+    spec = tu_surplus_spec(np.zeros((2, 2)), DIAG)
+    counts = np.array([[292981.0, 207429.0], [205964.0, 293626.0]])
+    Pi, _ = predicted_frequencies(
+        spec, np.array([0.6999241]), counts.sum(axis=1), counts.sum(axis=0), nz.mean(), 0.0
+    )
+    assert Pi.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(Pi, counts / counts.sum(), atol=1e-4)
+
+
 def test_log_likelihood_value():
     mu_hat = np.full((2, 2), 0.25)
     assert log_likelihood(mu_hat, np.full((2, 2), 0.25)) == pytest.approx(np.log(0.25))
@@ -76,13 +90,13 @@ def test_log_likelihood_zero_cell():
 # analytic gradient
 
 
-@pytest.mark.parametrize("kind", ["TU", "ETU"])
+@pytest.mark.parametrize("kind", ["TU", "ETU", "NTU"])
 def test_likelihood_gradient_matches_finite_differences(kind):
     basis = np.array([[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]])
-    if kind == "TU":
-        spec = ThetaSpec(kind="TU", alpha0=np.zeros((2, 2)), alpha_basis=basis)
+    if kind == "NTU":
+        spec = ThetaSpec(kind="NTU", phi0=np.zeros((2, 2)), phi_basis=basis)
     else:
-        spec = ThetaSpec(kind="ETU", alpha0=np.zeros((2, 2)), alpha_basis=basis)
+        spec = ThetaSpec(kind=kind, alpha0=np.zeros((2, 2)), alpha_basis=basis)
     norm, K = nz.mean(), 0.0
     theta_data = np.array([0.6, -0.3])
     Pi, _ = predicted_frequencies(spec, theta_data, ONES2, ONES2, norm, K)
@@ -161,27 +175,60 @@ def test_mpec_residual_vanishes_at_planted_optimum():
     assert np.linalg.norm(Psi) <= 1e-6
 
 
-def test_mpec_jacobian_matches_finite_differences():
-    spec, theta0, norm, K, mu_hat, _ = _planted_tu_problem()
-    theta = np.array([0.5])
-    a = np.array([0.1, -0.2])
-    b = np.array([0.05, 0.0])
-    lam = np.full(5, 0.3)
+@pytest.mark.parametrize("kind", ["TU", "ETU", "NTU"])
+def test_mpec_jacobian_matches_finite_differences(kind):
+    # non-square market, two parameters, every curvature term switched on
+    rng = np.random.default_rng(10)
+    X, Y, d = 2, 3, 2
+    nv = d + X + Y
+    basis = rng.normal(0.0, 0.5, size=(d, X, Y))
+    if kind == "NTU":
+        spec = ThetaSpec(kind="NTU", phi0=np.zeros((X, Y)), phi_basis=basis)
+    else:
+        spec = ThetaSpec(
+            kind=kind, alpha0=rng.normal(0.0, 0.3, size=(X, Y)), alpha_basis=basis,
+            gamma_basis=rng.normal(0.0, 0.5, size=(d, X, Y)),
+        )
+    mu_hat = rng.uniform(50.0, 200.0, size=(X, Y))
+    norm, K = nz.mean(), 0.0
+    v0 = np.concatenate([
+        [0.5, -0.3], [0.1, -0.2], [0.05, 0.0, 0.15], rng.normal(0.0, 0.3, size=X + Y + 1),
+    ])
 
-    def stacked(v):
-        Psi, _ = mpec_residual(spec, mu_hat, norm, K, v[:1], v[1:3], v[3:5], v[5:])
-        return Psi
+    def residual(v):
+        return mpec_residual(spec, mu_hat, norm, K, v[:d], v[d : d + X], v[d + X : nv], v[nv:])
 
-    v0 = np.concatenate([theta, a, b, lam])
-    _, J = mpec_residual(spec, mu_hat, norm, K, theta, a, b, lam)
+    _, J = residual(v0)
     h = 1e-6
     J_fd = np.empty_like(J)
     for j in range(v0.size):
         vp, vm = v0.copy(), v0.copy()
         vp[j] += h
         vm[j] -= h
-        J_fd[:, j] = (stacked(vp) - stacked(vm)) / (2 * h)
+        J_fd[:, j] = (residual(vp)[0] - residual(vm)[0]) / (2 * h)
     assert np.max(np.abs(J - J_fd)) <= 1e-4 * (1.0 + np.max(np.abs(J_fd)))
+
+
+def test_mpec_residual_memory_is_per_cell():
+    # one KKT evaluation on a 30x30 market with d = 5 builds per-cell blocks
+    # of (d + 2)^2 entries, not dense (X, Y, nv, nv) tensors (about 88 MB)
+    rng = np.random.default_rng(30)
+    X = Y = 30
+    d = 5
+    spec = ThetaSpec(
+        kind="ETU", alpha0=rng.normal(0.0, 0.3, size=(X, Y)), gamma0=rng.normal(0.0, 0.3, size=(X, Y)),
+        alpha_basis=rng.normal(0.0, 0.3, size=(d, X, Y)), gamma_basis=rng.normal(0.0, 0.3, size=(d, X, Y)),
+    )
+    mu_hat = rng.uniform(1.0, 10.0, size=(X, Y))
+    args = (rng.normal(0.0, 0.3, size=d), rng.normal(0.0, 0.3, size=X), rng.normal(0.0, 0.3, size=Y),
+            rng.normal(0.0, 0.3, size=X + Y + 1))
+    tracemalloc.start()
+    try:
+        mpec_residual(spec, mu_hat, nz.mean(), 0.0, *args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
 
 
 def test_mpec_solve_recovers_planted_parameter():
