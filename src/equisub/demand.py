@@ -61,7 +61,7 @@ class DemandModel:
     bounds: Optional[Bounds] = None
     label: str = "demand"
     # (C, D) with U = delta[None, :] * C + D when utilities are affine in
-    # the own quality; enables exact per-coordinate share inversion
+    # the own quality; enables the exact order-statistic sweep
     affine_parts: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def __post_init__(self):
@@ -179,25 +179,29 @@ def shares(model: DemandModel, delta: np.ndarray) -> np.ndarray:
     return demand_mc(model, delta)
 
 
-def _mc_coordinate_solver(model: DemandModel):
+def _mc_sweep(model: DemandModel):
     # With U_rz = t * C_rz + D_rz and the other qualities held fixed,
-    # consumer r switches into good z as t passes (max_j U_rj - D_rz)/C_rz,
+    # consumer r switches into good z as t passes (max_{j != z} U_rj - D_rz)/C_rz,
     # so the simulated share section is a step function whose target-level
-    # left root is an order statistic of the switch points.
+    # left root is an order statistic of the switch points.  A good's best
+    # rival is the top good, or the runner-up where it is itself a top good
+    # (a lone good is its own rival; with no free good its root is unused).
     C, D = model.affine_parts
-    R = C.shape[0]
+    R, Z = C.shape
+    goods = np.arange(Z)
 
-    def solver(target: float, p: np.ndarray, z: int):
-        if not (0.0 < target < 1.0):
-            return None
+    def sweep(q, p, pin):
+        # the k-th switch point lifts the share to k / R; a target outside
+        # (0, 1] has no root and its clipped k leaves the solve unconverged
+        k = np.clip(np.ceil(q * R - 1e-9).astype(int), 1, R) - 1
         U = p[None, :] * C + D
-        U[:, z] = -np.inf
-        M = U.max(axis=1)
-        t_r = (M - D[:, z]) / C[:, z]
-        k = int(np.ceil(target * R - 1e-9))
-        return float(np.partition(t_r, k - 1)[k - 1])
+        top2 = np.partition(U, max(Z - 2, 0), axis=1)[:, -2:]
+        runner_up, best = top2[:, :1], top2[:, -1:]
+        rival = np.where(U == best, runner_up, best)
+        t = (rival - D) / C
+        return np.partition(t, np.unique(k), axis=0)[k, goods]
 
-    return solver
+    return sweep
 
 
 def build_demand_system(model: DemandModel) -> SupplySystem:
@@ -227,10 +231,9 @@ def build_demand_system(model: DemandModel) -> SupplySystem:
         envelopes=tuple(env(k) for k in range(1, Z)),
     )
 
-    coord_solver = None
     batch = None
     sweep = None
-    if model.label == "logit":
+    if model.closed_form is demand_logit:
         batch = demand_logit
 
         def sweep(q, p, pin):
@@ -240,7 +243,7 @@ def build_demand_system(model: DemandModel) -> SupplySystem:
             return p[pin] + np.log(q) - np.log(q[pin])
 
     elif model.closed_form is None and model.affine_parts is not None:
-        coord_solver = _mc_coordinate_solver(model)
+        sweep = _mc_sweep(model)
 
     return SupplySystem(
         dim=Z,
@@ -249,7 +252,6 @@ def build_demand_system(model: DemandModel) -> SupplySystem:
         balance_constant=1.0,
         subsolution_hints=hints,
         eval_batch=batch,
-        coordinate_solver=coord_solver,
         sweep_solver=sweep,
         label=model.label,
     )

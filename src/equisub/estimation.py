@@ -345,7 +345,8 @@ def mle_nested(
     theta_hat = np.atleast_1d(res.x)
     gnorm = float(np.max(np.abs(res.jac)))
 
-    # flatness probe: step in every direction and look for any movement
+    # flatness probe: step in every direction and look for any movement;
+    # values only, and off the optimizer's path
     f_hat = res.fun
     h = 1e-3
     flat = True
@@ -353,7 +354,8 @@ def mle_nested(
         for sgn in (-1.0, 1.0):
             t = theta_hat.copy()
             t[k] += sgn * h
-            f_probe, _ = negloglik_and_grad(t)
+            Pi, _ = predicted_frequencies(spec, t, n_hat, m_hat, norm, K, opts)
+            f_probe = -log_likelihood(mu_hat, Pi)
             if abs(f_probe - f_hat) > 1e-10 * (1.0 + abs(f_hat)):
                 flat = False
                 break

@@ -18,6 +18,7 @@ from .errors import (
     BalanceViolated,
     DimensionMismatch,
     FamilyLacksTransfers,
+    NoBracket,
     NonpositiveMatch,
 )
 from .normalization import Normalization
@@ -266,16 +267,16 @@ class MarketPrimitives:
         return self.family.shape
 
 
-def _itu_coordinate_solver(fam: MatchingFamily, X: int, Y: int):
-    """Safeguarded Newton for one accounting equation of a transfer family.
+def _itu_sweep(fam: MatchingFamily, X: int, Y: int):
+    """Jacobi sweep of a transfer family: safeguarded Newton per coordinate.
 
     Sections are smooth and increasing in the own fee but can be bounded
     (e.g. the harmonic-mean family saturates), so the bracket expansion
-    reports unreachable targets through NoBracket.
+    reports unreachable targets through NoBracket, naming the coordinate.
     """
     dist = fam.distance
 
-    def solver(target, p, z):
+    def newton(target, p, z):
         # row x: sum_y M(a_x, b) = n_x = -target in a_x = -p_z;
         # column y: sum_x M(a, b_y) = m_y = target in b_y = p_z
         row = z < X
@@ -313,7 +314,17 @@ def _itu_coordinate_solver(fam: MatchingFamily, X: int, Y: int):
 
         return sign * t
 
-    return solver
+    def sweep(q, p, pin):
+        p_new = p.copy()
+        for z in np.flatnonzero(np.arange(X + Y) != pin):
+            try:
+                p_new[z] = newton(q[z], p, z)
+            except NoBracket as exc:
+                exc.coordinate = int(z)
+                raise
+        return p_new
+
+    return sweep
 
 
 def build_mfe_system(prim: MarketPrimitives) -> Tuple[SupplySystem, np.ndarray]:
@@ -338,25 +349,23 @@ def build_mfe_system(prim: MarketPrimitives) -> Tuple[SupplySystem, np.ndarray]:
     pin = X  # first Y-side coordinate
     ordering = (pin,) + tuple(range(X)) + tuple(range(X + 1, dim))
 
-    def x_envelope(x):
+    tables = {k: getattr(fam, k) for k in ("alpha", "gamma", "phi") if getattr(fam, k) is not None}
+
+    def envelope(rows: slice, j: int, sign: float):
+        # matches of the table block (rows, column j) alone, read off the
+        # family restricted to that block; for row x and the pinned column
+        # j = 0 they already exhaust n_x
+        block = replace(fam, **{k: t[rows, j : j + 1] for k, t in tables.items()})
+
         def env(p):
-            # matches of row x with the pinned column alone already exhaust n_x
-            return -matching_function_eval(fam, -p[x], p[pin], (x, 0))
+            return sign * float(np.exp(block.log_match(-p[:X][rows], p[X + j : X + j + 1])).sum())
 
         return env
 
-    def y_envelope(j):
-        def env(p):
-            return float(np.exp(fam.log_match(-p[:X], p[X:])[:, j]).sum())
-
-        return env
-
-    envelopes = tuple(x_envelope(x) for x in range(X)) + tuple(
-        y_envelope(j) for j in range(1, Y)
+    envelopes = tuple(envelope(slice(x, x + 1), 0, -1.0) for x in range(X)) + tuple(
+        envelope(slice(None), j, 1.0) for j in range(1, Y)
     )
 
-    coord_solver = None
-    sweep = None
     if fam.kind in ("TU", "NTU"):
         scale = 0.5 if fam.kind == "TU" else 1.0
         phi = fam.phi
@@ -369,7 +378,7 @@ def build_mfe_system(prim: MarketPrimitives) -> Tuple[SupplySystem, np.ndarray]:
             return np.concatenate([-a_new, b_new])
 
     else:
-        coord_solver = _itu_coordinate_solver(fam, X, Y)
+        sweep = _itu_sweep(fam, X, Y)
 
     system = SupplySystem(
         dim=dim,
@@ -378,7 +387,6 @@ def build_mfe_system(prim: MarketPrimitives) -> Tuple[SupplySystem, np.ndarray]:
         balance_constant=0.0,
         subsolution_hints=SubsolutionHints(ordering=ordering, envelopes=envelopes),
         eval_batch=q_of_p,
-        coordinate_solver=coord_solver,
         sweep_solver=sweep,
         label=f"matching-{fam.kind}-{X}x{Y}",
     )

@@ -1,10 +1,11 @@
 """Pinned and normalized solvers for balanced systems with substitutes.
 
-solve_pinned fixes one coordinate and runs a parallel coordinate-update
-(Jacobi) sweep starting from a point where the system lies weakly below
-its targets; under gross substitutability the iterates increase
-monotonically to the pinned solution.  solve_normalized wraps the pinned
-solver in a bisection on the pinned value to meet psi(p) = K.
+solve_pinned fixes one coordinate and iterates a Jacobi sweep (every free
+coordinate's scalar equation solved given the others: the system's
+sweep_solver, else bisection_sweep) from a point where the system lies
+weakly below its targets; under gross substitutability the iterates
+increase monotonically to the pinned solution.  solve_normalized wraps
+the pinned solver in a bisection on the pinned value to meet psi(p) = K.
 """
 from __future__ import annotations
 
@@ -27,6 +28,9 @@ from .system import SupplySystem, eval_supply
 
 # residual a sweep fixed point may keep per unit of ||q||_1 from rounding
 ROUNDING_FLOOR = 64 * np.finfo(float).eps
+BOUND_MARGIN = 1e-9      # sweep results and probes stay this far inside bounds
+MAX_ITER_BRACKET = 200   # halvings of the dichotomy on the pinned value
+MAX_EXPANSIONS = 64      # doublings of the pin scan's step
 
 
 @dataclass(frozen=True)
@@ -35,10 +39,6 @@ class SolverOptions:
     tol_inner: float = 1e-12         # scalar root bracket width
     tol_bracket: float = 1e-9        # dichotomy bracket width on the pinned value
     max_iter_jacobi: int = 10_000
-    max_iter_bracket: int = 200
-    max_bracket_expansions: int = 64
-    bound_margin: float = 1e-9       # stay this far inside finite bounds
-    initial_step: float = 1.0
     refine_factor: float = 1e-4      # tol_outer shrink for verification
                                      # re-solves; 1.0 disables refinement
                                      # (e.g. simulated supply at its
@@ -55,56 +55,47 @@ class SolveReport:
     bracket_history: List[Tuple[float, float]] = field(default_factory=list)
     outer_solves: int = 0
 
-    @property
-    def converged(self) -> bool:
-        return bool(np.isfinite(self.residual))
+
+def _walk(f, x0, system: SupplySystem, z, **kwargs):
+    """expand_bracket inside the open interval of coordinate(s) z."""
+    lower, upper = system.bounds.lower[z], system.bounds.upper[z]
+    return expand_bracket(f, x0, lower, upper, bound_margin=BOUND_MARGIN, **kwargs)
 
 
-def _walk(f, x0, system: SupplySystem, z: int, opts: SolverOptions, **kwargs):
-    """expand_bracket inside coordinate z's open interval, stepping as opts says."""
-    return expand_bracket(
-        f,
-        x0,
-        system.bounds.lower[z],
-        system.bounds.upper[z],
-        step=opts.initial_step,
-        bound_margin=opts.bound_margin,
-        max_expansions=opts.max_bracket_expansions,
-        **kwargs,
-    )
-
-
-def coordinate_update(
+def bisection_sweep(
     system: SupplySystem,
     q: np.ndarray,
     p: np.ndarray,
-    z: int,
+    pin: int,
     opts: SolverOptions = SolverOptions(),
-) -> float:
-    """Solve Q_z(t, p_-z) = q[z] for t, biased to the left root.
+) -> np.ndarray:
+    """One Jacobi sweep by bracketing and bisection, for any system.
 
-    The scalar section t -> Q_z(t, p_-z) is nondecreasing; the update
-    returns (an approximation of) the left endpoint of the root interval,
-    found by geometric bracketing and predicate bisection.
+    Returns p with every free z set to the left root of Q_z(t, p_-z) = q[z],
+    all sections solved as one array; trial rows go through eval_batch, or
+    eval_fn row by row.  NoBracket names the failing system coordinate.
     """
     p = np.asarray(p, dtype=float)
-    target = float(q[z])
+    free = np.flatnonzero(np.arange(system.dim) != pin)
+    rows = np.arange(free.size)
 
-    def section(t):
-        trial = p.copy()
-        trial[z] = t
-        return float(np.asarray(system.eval_fn(trial), dtype=float)[z]) - target
+    def sections(t):
+        trial = np.repeat(p[None, :], free.size, axis=0)
+        trial[rows, free] = t
+        if system.eval_batch is not None:
+            out = np.asarray(system.eval_batch(trial), dtype=float)[rows, free]
+        else:
+            out = np.array([system.eval_fn(row)[z] for row, z in zip(trial, free)], dtype=float)
+        return out - q[free]
 
     try:
-        if system.coordinate_solver is not None:
-            t = system.coordinate_solver(target, p, z)
-            if t is not None:
-                return system.bounds.interior_clip(z, float(t), opts.bound_margin)
-        lo, hi = _walk(section, p[z], system, z, opts)
+        lo, hi = _walk(sections, p[free], system, free)
     except NoBracket as exc:
-        exc.coordinate = z
+        exc.coordinate = int(free[exc.coordinate])
         raise
-    return float(bisect(section, lo, hi, opts.tol_inner)[1])
+    p_new = p.copy()
+    p_new[free] = bisect(sections, lo, hi, opts.tol_inner)[1]
+    return p_new
 
 
 def build_subsolution(
@@ -157,7 +148,7 @@ def build_subsolution(
         if f0 <= 0:
             continue
         try:
-            lo, _ = _walk(excess, p[z], system, z, opts, fx0=f0, closed=True)
+            lo, _ = _walk(excess, p[z], system, z, fx0=f0, closed=True)
         except NoBracket as exc:
             raise EnvelopeNotDownwardResponsive(
                 f"envelope for coordinate {z} stays above its target: {exc}"
@@ -185,7 +176,9 @@ def solve_pinned(
 ) -> SolveReport:
     """Jacobi iteration to Q(p) = q with p[pin] = pin_value fixed.
 
-    Starts from a subsolution (built from hints unless p0 is supplied).
+    Starts from a subsolution (built from hints unless p0 is supplied) and
+    iterates the system's sweep_solver, or bisection_sweep without one;
+    each sweep result is kept BOUND_MARGIN inside finite bounds.
     Convergence requires both the sup-norm residual and the sup-norm step
     to fall below tol_outer; an exact fixed point (step 0) may keep a
     residual up to tol_outer + ROUNDING_FLOOR * ||q||_1.
@@ -198,17 +191,14 @@ def solve_pinned(
         p[pin] = pin_value
 
     free = [z for z in range(system.dim) if z != pin]
+    sweep = system.sweep_solver or (lambda q, p, pin: bisection_sweep(system, q, p, pin, opts))
+    lo_in, hi_in = system.bounds.lower + BOUND_MARGIN, system.bounds.upper - BOUND_MARGIN
     monotone = True
     qval = eval_supply(system, p)
 
     for it in range(1, opts.max_iter_jacobi + 1):
-        if system.sweep_solver is not None:
-            p_new = np.asarray(system.sweep_solver(q, p, pin), dtype=float)
-            p_new[pin] = pin_value
-        else:
-            p_new = p.copy()
-            for z in free:
-                p_new[z] = coordinate_update(system, q, p, z, opts)
+        p_new = np.minimum(np.maximum(sweep(q, p, pin), lo_in), hi_in)
+        p_new[pin] = pin_value
         if np.any(p_new[free] < p[free] - 1e-12):
             monotone = False
         step = float(np.max(np.abs(p_new - p))) if free else 0.0
@@ -357,8 +347,8 @@ def solve_normalized(
             return np.inf, None
         return -np.inf, None
 
-    margin = opts.bound_margin
-    g0 = system.bounds.interior_clip(pin, pin_guess, margin)
+    lo_in, hi_in = system.bounds.lower[pin] + BOUND_MARGIN, system.bounds.upper[pin] - BOUND_MARGIN
+    g0 = float(min(max(pin_guess, lo_in), hi_in))
     val0, rep0 = phi(g0)
     if rep0 is None and warm_pin is None:
         # No pinned solution at the guess and no anchor to continue from:
@@ -368,7 +358,7 @@ def solve_normalized(
         # sits between them and bisection on the failure label homes in on
         # it even when the window is far narrower than the scan step.
         def probe(g: float):
-            g = float(system.bounds.interior_clip(pin, g, margin))
+            g = float(min(max(g, lo_in), hi_in))
             try:
                 return g, solve_at(g, opts), 0
             except NoBracket:
@@ -379,8 +369,8 @@ def solve_normalized(
         labels = {}
         g0, _, lab = probe(g0)
         labels[g0] = lab
-        scan = opts.initial_step
-        for _ in range(opts.max_bracket_expansions):
+        scan = 1.0
+        for _ in range(MAX_EXPANSIONS):
             for cand in (g0 + scan, g0 - scan):
                 c, rep, lab = probe(cand)
                 if rep is not None:
@@ -408,7 +398,7 @@ def solve_normalized(
             raise BracketNotFound("no pin value admits a pinned solution")
 
     try:
-        lo, hi = _walk(lambda g: phi(float(g))[0] - K, g0, system, pin, opts, fx0=val0 - K, closed=True)
+        lo, hi = _walk(lambda g: phi(float(g))[0] - K, g0, system, pin, fx0=val0 - K, closed=True)
     except NoBracket as exc:
         raise BracketNotFound(f"normalization level {K} not bracketed: {exc}") from exc
     # the dichotomy starts from the guess, not from the walk's previous probe
@@ -421,7 +411,7 @@ def solve_normalized(
     best = None
     best_gap = np.inf
     extra = 0
-    for _ in range(opts.max_iter_bracket):
+    for _ in range(MAX_ITER_BRACKET):
         # once the bracket is narrow the pinned-solve error dominates the
         # remaining gap, so re-evaluate with tightened inner tolerances
         v, rep = phi(lo + 0.5 * width, tight=width < 1e3 * opts.tol_bracket)

@@ -45,13 +45,6 @@ class Bounds:
     def contains(self, p: np.ndarray) -> bool:
         return bool(np.all(p > self.lower) and np.all(p < self.upper))
 
-    def interior_clip(self, z: int, t: float, margin: float) -> float:
-        """Clamp a scalar to stay `margin` inside the open interval of coordinate z."""
-        lo, hi = self.lower[z], self.upper[z]
-        lo_in = lo + margin if np.isfinite(lo) else -np.inf
-        hi_in = hi - margin if np.isfinite(hi) else np.inf
-        return float(min(max(t, lo_in), hi_in))
-
 
 @dataclass(frozen=True)
 class SubsolutionHints:
@@ -75,13 +68,11 @@ class SupplySystem:
 
     - eval_batch(P) maps an (N, dim) array of price rows to the (N, dim)
       array of their outputs, row by row as eval_fn would;
-    - coordinate_solver(target, p, z) returns the root of
-      Q_z(t, p_{-z}) = target, or None to fall back to bracketing and
-      bisection of the section;
     - sweep_solver(q, p, pin) returns the whole Jacobi sweep at p: every
-      coordinate's root given the others (the pinned entry is reset by the
-      caller).  When set, the pinned solver uses it instead of
-      coordinate-wise updates.
+      free coordinate's left root of Q_z(t, p_{-z}) = q[z] given the
+      others (the caller resets the pinned entry and keeps the result
+      inside the bounds).  Without one, the pinned solver sweeps by
+      bracketing and bisection (solver.bisection_sweep).
     """
 
     dim: int
@@ -90,9 +81,10 @@ class SupplySystem:
     balance_constant: float = 0.0
     subsolution_hints: Optional[SubsolutionHints] = None
     eval_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    coordinate_solver: Optional[Callable[[float, np.ndarray, int], float]] = None
     sweep_solver: Optional[Callable[[np.ndarray, np.ndarray, int], np.ndarray]] = None
     label: str = ""
+    # not a field: perfbench/tracing.py reads it when it wraps a system
+    coordinate_solver = None
 
     def __post_init__(self):
         if self.bounds.dim != self.dim:

@@ -21,6 +21,7 @@ from equisub.demand import (
     residual_xi,
 )
 from equisub.errors import DimensionMismatch
+from equisub.solver import BOUND_MARGIN
 
 LN2 = np.log(2.0)
 
@@ -131,6 +132,56 @@ def test_invert_bridge_round_trip():
     s = demand_mc(model, delta0)
     res = invert_demand(model, s, nz.coordinate(0), delta0[0])
     assert np.max(np.abs(res.delta - delta0)) <= 2e-3
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        logit_mc_model(4, R=2000, seed=3),
+        rc_logit_model(np.array([[0.5, 1.0], [1.0, -0.5], [-1.0, 0.2], [0.3, 0.3]]), np.array([0.5, 1.0]), R=2000, seed=4),
+        bridge_model(np.array([0.0, 0.5, 1.0, 1.5]), R=2000, seed=5),
+    ],
+    ids=lambda m: m.label,
+)
+def test_mc_sweep_equals_per_good_order_statistic(model):
+    # reference: for each good alone, the switch points of every consumer
+    # against its best rival, and the order statistic that lifts the
+    # simulated share to the target
+    system = build_demand_system(model)
+    C, D = model.affine_parts
+    R = C.shape[0]
+    lo_in = model.bounds.lower + BOUND_MARGIN
+    hi_in = model.bounds.upper - BOUND_MARGIN
+    # negative qualities near the bridge's tested range, where every route
+    # keeps some consumers; a switch point at or above 0 leaves the bridge's
+    # range and is compared after the clip
+    center = np.array([-2.0, -1.4, -1.0, -0.7])
+    rng = np.random.default_rng(6)
+    checked = 0
+    for _ in range(10):
+        p = np.minimum(center + rng.normal(0.0, 0.5, 4), -0.05)
+        q = demand_mc(model, np.minimum(center + rng.normal(0.0, 0.05, 4), -0.05))
+        if np.any(q == 0):
+            continue
+        checked += 1
+        pin = int(rng.integers(4))
+        got = np.clip(system.sweep_solver(q, p, pin), lo_in, hi_in)
+        for z in range(4):
+            if z == pin:
+                continue
+            U = p[None, :] * C + D
+            U[:, z] = -np.inf
+            t_r = np.sort((U.max(axis=1) - D[:, z]) / C[:, z])
+            k = int(np.ceil(q[z] * R - 1e-9))
+            assert got[z] == np.clip(t_r[k - 1], lo_in[z], hi_in[z])
+    assert checked >= 3
+
+
+def test_invert_single_good_returns_the_level():
+    # one good has no free coordinate: the sweep must leave the pin alone
+    for model in (logit_model(1), logit_mc_model(1, R=100, seed=0)):
+        res = invert_demand(model, np.array([1.0]), nz.coordinate(0), 0.3)
+        assert res.delta.tolist() == [0.3]
 
 
 def test_invert_pure_characteristics_round_trip():

@@ -130,6 +130,16 @@ def test_mle_recovers_planted_parameter():
     assert abs(res.theta[0] - theta0[0]) <= 1e-6
 
 
+def test_mle_path_holds_only_optimizer_points():
+    # the flatness probe steps 1e-3 away from the estimate; those points are
+    # not optimizer evaluations and must not appear on the path
+    spec = tu_surplus_spec(np.zeros((2, 2)), DIAG)
+    Pi, _ = predicted_frequencies(spec, np.array([0.7]), ONES2, ONES2, nz.mean(), 0.0)
+    res = mle_nested(spec, 1000.0 * Pi, nz.mean(), 0.0, np.zeros(1))
+    probes = [res.theta + h for h in (-1e-3, 1e-3)]
+    assert not any(np.array_equal(t, probe) for t in res.path for probe in probes)
+
+
 def test_mle_flat_likelihood_raises():
     # a constant-surplus direction is absorbed by the equilibrium fees, so
     # the likelihood carries no information about it

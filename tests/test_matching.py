@@ -9,7 +9,9 @@ from equisub.errors import BalanceViolated, FamilyLacksTransfers
 from equisub.matching import (
     DIST_AVERAGE,
     DIST_LOGMEAN,
+    DistanceFamily,
     MarketPrimitives,
+    _d_logmean,
     build_mfe_system,
     comparative_statics_K,
     cross_difference,
@@ -17,6 +19,7 @@ from equisub.matching import (
     frontier_distance,
     identify_cross_differences,
     identify_preferences,
+    itu_family,
     matching_function_eval,
     ntu_family,
     recover_transfers,
@@ -78,6 +81,29 @@ def test_log_match_batch_rows_equal_single_calls():
         assert batch.shape == (4, 3, 2)
         for a, b, row in zip(A, B, batch):
             assert np.array_equal(row, fam.log_match(a, b))
+
+
+def test_mfe_envelopes_equal_whole_table_values():
+    # each envelope reads its cell (x, 0) or its column j off a sub-family;
+    # the value must be the one the whole X x Y table gives
+    rng = np.random.default_rng(2)
+    X, Y = 3, 4
+    alpha, gamma = rng.normal(size=(2, X, Y))
+    families = [
+        tu_family(alpha=alpha, gamma=gamma),
+        tu_family(phi=alpha + gamma),
+        ntu_family(alpha + gamma),
+        etu_family(alpha, gamma),
+    ]
+    for fam in families:
+        system, _ = build_mfe_system(MarketPrimitives(family=fam, n=np.ones(X), m=np.full(Y, 0.75)))
+        envelopes = system.subsolution_hints.envelopes
+        for p in rng.normal(size=(5, X + Y)):
+            for x in range(X):
+                assert envelopes[x](p) == -matching_function_eval(fam, -p[x], p[X], (x, 0))
+            table = np.exp(fam.log_match(-p[:X], p[X:]))
+            for j in range(1, Y):
+                assert envelopes[X + j - 1](p) == float(table[:, j].sum())
 
 
 # ----------------------------------------------------------------------
@@ -170,6 +196,21 @@ def test_etu_with_zero_tables_matches_tu():
     eq_etu = solve_mfe(etu, nz.mean(), 0.0)
     assert np.allclose(eq_tu.mu, eq_etu.mu, atol=1e-6)
     assert np.allclose(eq_etu.mu, 0.5, atol=1e-6)
+
+
+@pytest.mark.parametrize("norm", [nz.coordinate(2), nz.mean()], ids=["coordinate", "mean"])
+def test_itu_with_numeric_derivatives_solves_etu_market(norm):
+    # an ITU family with the ETU distance but no derivative callables: its
+    # Newton sweep runs on central-difference slopes and must land on the
+    # ETU equilibrium
+    rng = np.random.default_rng(11)
+    alpha, gamma = rng.normal(0.0, 0.5, size=(2, 2, 2))
+    n, m = np.ones(2), np.ones(2)
+    itu = itu_family(alpha, gamma, DistanceFamily(d=_d_logmean))
+    eq_itu = solve_mfe(MarketPrimitives(family=itu, n=n, m=m), norm, 0.0)
+    eq_etu = solve_mfe(MarketPrimitives(family=etu_family(alpha, gamma), n=n, m=m), norm, 0.0)
+    assert np.max(np.abs(eq_itu.mu - eq_etu.mu)) <= 1e-9
+    assert np.allclose(eq_itu.mu.sum(axis=1), n, atol=1e-9)
 
 
 def test_comparative_statics_tu_match_invariant(tu_2x2_diag):

@@ -1,4 +1,4 @@
-"""Core solver tests: supply evaluation, coordinate updates, pinned Jacobi
+"""Core solver tests: supply evaluation, bisection sweeps, pinned Jacobi
 solves, the normalized outer search, and normalization algebra."""
 import numpy as np
 import pytest
@@ -22,8 +22,8 @@ from equisub.normalization import (
 )
 from equisub.solver import (
     SolverOptions,
+    bisection_sweep,
     build_subsolution,
-    coordinate_update,
     solve_normalized,
     solve_pinned,
 )
@@ -95,28 +95,28 @@ def test_matching_system_balance_sampled(tu_2x2_diag):
 
 
 # ----------------------------------------------------------------------
-# coordinate_update
+# bisection_sweep
 
 
-def test_coordinate_update_logit_closed_form(logit3):
+def test_bisection_sweep_logit_closed_form(logit3):
     system, _ = logit3
     p = np.array([5.0, 0.0, 0.0])
-    t = coordinate_update(system, np.array([0.25, 0.5, 0.25]), p, 0)
+    t = bisection_sweep(system, np.array([0.25, 0.5, 0.25]), p, 1)[0]
     # e^t / (e^t + 2) = 1/4  =>  t = ln(2/3)
     assert abs(t - np.log(2.0 / 3.0)) < 1e-10
 
 
-def test_coordinate_update_tu_1x1():
+def test_bisection_sweep_tu_1x1():
     prim = MarketPrimitives(
         family=tu_family(phi=np.zeros((1, 1))), n=np.array([1.0]), m=np.array([1.0])
     )
     system, q = build_mfe_system(prim)
-    t = coordinate_update(system, q, np.array([3.0, 0.0]), 0)
+    t = bisection_sweep(system, q, np.array([3.0, 0.0]), 1)[0]
     assert abs(t) < 1e-10  # -a = 0 solves exp(a/2) = 1
 
 
-def test_coordinate_update_left_root_of_flat_interval():
-    # piecewise-linear section, flat (at the target) on [1, 2]: the update
+def test_bisection_sweep_left_root_of_flat_interval():
+    # piecewise-linear section, flat (at the target) on [1, 2]: the sweep
     # must come back with the left endpoint of the root interval
     breaks_x = np.array([-10.0, 0.0, 1.0, 2.0, 10.0])
     breaks_y = np.array([-10.0, 0.0, 0.5, 0.5, 8.5])
@@ -126,22 +126,24 @@ def test_coordinate_update_left_root_of_flat_interval():
         return np.array([v, -v])
 
     system = SupplySystem(dim=2, eval_fn=Q, bounds=Bounds.unbounded(2))
-    t = coordinate_update(
-        system, np.array([0.5, -0.5]), np.array([5.0, 0.0]), 0,
+    t = bisection_sweep(
+        system, np.array([0.5, -0.5]), np.array([5.0, 0.0]), 1,
         SolverOptions(tol_inner=1e-12),
-    )
+    )[0]
     assert abs(t - 1.0) < 1e-9
 
 
-def test_coordinate_update_no_bracket():
-    # bounded section that never reaches the target
+def test_bisection_sweep_no_bracket():
+    # bounded section of coordinate 1 that never reaches the target; the
+    # pin is coordinate 0, so the section is element 0 of the sweep
     def Q(p):
-        v = np.tanh(p[0])
-        return np.array([v, -v])
+        v = np.tanh(p[1])
+        return np.array([-v, v])
 
     system = SupplySystem(dim=2, eval_fn=Q, bounds=Bounds.unbounded(2))
-    with pytest.raises(NoBracket):
-        coordinate_update(system, np.array([2.0, -2.0]), np.zeros(2), 0)
+    with pytest.raises(NoBracket) as info:
+        bisection_sweep(system, np.array([-2.0, 2.0]), np.zeros(2), 0)
+    assert info.value.coordinate == 1
 
 
 # ----------------------------------------------------------------------
