@@ -27,7 +27,6 @@ from .errors import (
     EnvelopeNotDownwardResponsive,
     EquisubError,
     MaxIterExceeded,
-    MCNonMonotone,
     NoBracket,
     OptimizerStalled,
     SingularConstraintJacobian,
@@ -43,7 +42,6 @@ SOLVER_ERRORS = (
     MaxIterExceeded,
     BracketNotFound,
     OptimizerStalled,
-    MCNonMonotone,
     SingularConstraintJacobian,
     SingularWeight,
 )

@@ -8,6 +8,7 @@ is deterministic and weakly monotone in delta.
 """
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -19,7 +20,6 @@ from .errors import (
     DegenerateUtility,
     DimensionMismatch,
     GNotInvertible,
-    MCNonMonotone,
     NoBracket,
 )
 from .normalization import Normalization
@@ -233,7 +233,9 @@ def build_demand_system(model: DemandModel) -> SupplySystem:
 
     batch = None
     sweep = None
-    if model.closed_form is demand_logit:
+    # unwrapped on both sides, so a wrapper around demand_logit (installed
+    # before or after the model was built) still selects the closed form
+    if inspect.unwrap(model.closed_form) is inspect.unwrap(demand_logit):
         batch = demand_logit
 
         def sweep(q, p, pin):
@@ -296,14 +298,7 @@ def invert_demand(
         else:
             opts = SolverOptions()
     system = build_demand_system(model)
-    try:
-        rep = solve_normalized(system, s, norm, K, opts)
-    except NoBracket as exc:
-        if model.closed_form is None:
-            raise MCNonMonotone(
-                f"simulated share section failed to cross its target: {exc}"
-            ) from exc
-        raise
+    rep = solve_normalized(system, s, norm, K, opts)
     return InversionResult(delta=rep.p_star, shares=shares(model, rep.p_star), report=rep)
 
 

@@ -28,6 +28,7 @@ class NoBracket(EquisubError):
         super().__init__(msg)
         self.coordinate = coordinate
         self.last_value = last_value
+        self.report = None  # set by solve_pinned when one of its sweeps raises
 
 
 class HintsMissing(EquisubError):
@@ -68,10 +69,6 @@ class GridTooLarge(EquisubError):
 
 class DegenerateUtility(EquisubError):
     """Simulated utilities are nonfinite for some draws."""
-
-
-class MCNonMonotone(EquisubError):
-    """Simulated shares failed a monotonicity requirement during inversion."""
 
 
 class GNotInvertible(EquisubError):

@@ -30,7 +30,6 @@ from .system import SupplySystem, eval_supply
 ROUNDING_FLOOR = 64 * np.finfo(float).eps
 BOUND_MARGIN = 1e-9      # sweep results and probes stay this far inside bounds
 MAX_ITER_BRACKET = 200   # halvings of the dichotomy on the pinned value
-MAX_EXPANSIONS = 64      # doublings of the pin scan's step
 
 
 @dataclass(frozen=True)
@@ -181,7 +180,9 @@ def solve_pinned(
     each sweep result is kept BOUND_MARGIN inside finite bounds.
     Convergence requires both the sup-norm residual and the sup-norm step
     to fall below tol_outer; an exact fixed point (step 0) may keep a
-    residual up to tol_outer + ROUNDING_FLOOR * ||q||_1.
+    residual up to tol_outer + ROUNDING_FLOOR * ||q||_1.  A NoBracket
+    raised by a sweep carries the report of the iterate that sweep started
+    from, its iterations counting the failed sweep.
     """
     q = np.asarray(q, dtype=float)
     if p0 is None:
@@ -197,7 +198,17 @@ def solve_pinned(
     qval = eval_supply(system, p)
 
     for it in range(1, opts.max_iter_jacobi + 1):
-        p_new = np.minimum(np.maximum(sweep(q, p, pin), lo_in), hi_in)
+        try:
+            p_new = np.minimum(np.maximum(sweep(q, p, pin), lo_in), hi_in)
+        except NoBracket as exc:
+            # the failed sweep counts: report the iterate it started from
+            exc.report = SolveReport(
+                p_star=p,
+                residual=float(np.max(np.abs(qval - q))),
+                iterations=it,
+                monotone_certificate=monotone,
+            )
+            raise
         p_new[pin] = pin_value
         if np.any(p_new[free] < p[free] - 1e-12):
             monotone = False
@@ -237,36 +248,37 @@ def solve_pinned(
     )
 
 
-def _default_pin(system: SupplySystem) -> int:
-    if system.subsolution_hints is not None:
-        return int(system.subsolution_hints.ordering[0])
-    return 0
-
-
 def solve_normalized(
     system: SupplySystem,
     q: np.ndarray,
     norm: Normalization,
     K: float,
     opts: SolverOptions = SolverOptions(),
-    pin: Optional[int] = None,
     pin_guess: float = 0.0,
 ) -> SolveReport:
     """Solve Q(p) = q subject to psi(p) = K.
 
-    Bisects on the pinned value: each trial solves the pinned problem and
-    compares psi at its solution with K.  The bracket is located by
-    geometric expansion from pin_guess and then halved exactly (the width
-    sequence is width0 / 2^k in floating point) until it is narrower than
-    tol_bracket and the normalization gap is within tol_bracket.
+    Every pin value is reached through one pin search, phi: a pinned solve
+    warm-started from the last solved pin, with halving continuation from
+    that anchor when the direct solve fails.  Before any pin has solved, a
+    failed cold solve names its side of the window of cold-solvable pins
+    (EnvelopeNotDownwardResponsive below, NoBracket above); a one-way walk
+    from the pin, then a bisection on the failure side, finds the first
+    anchor or raises BracketNotFound.
+
+    When psi reads the pinned coordinate the answer is phi at K.  Otherwise
+    the solve bisects on the pinned value, comparing psi at each pinned
+    solution with K: the bracket is located by geometric expansion from
+    pin_guess and then halved exactly (the width sequence is width0 / 2^k
+    in floating point) until it is narrower than tol_bracket and the
+    normalization gap is within tol_bracket.
     """
     lo_K, hi_K = norm.value_range
     if not (lo_K < K < hi_K):
         raise OutOfBounds(f"target level {K} outside the attainable range {norm.value_range}")
 
-    if pin is None:
-        pin = _default_pin(system)
-
+    hints = system.subsolution_hints
+    pin = int(hints.ordering[0]) if hints is not None else 0
     refining = opts.refine_factor < 1.0
     tight_opts = replace(
         opts,
@@ -275,35 +287,16 @@ def solve_normalized(
         max_iter_jacobi=opts.max_iter_jacobi * (10 if refining else 1),
     )
 
-    # pinning the same coordinate the normalization reads makes the outer
-    # search trivial: psi(p*) equals the pin value itself.  Solve tightly so
-    # the remaining inner-iteration error stays well under tol_bracket.
-    if norm.kind[0] == "coordinate" and int(norm.kind[1]) == pin:
-        try:
-            rep = solve_pinned(system, q, pin, K, tight_opts)
-        except MaxIterExceeded as exc:
-            # the tight solve is a refinement; accept its iterate whenever
-            # it already meets the requested tolerance
-            if exc.report is None or exc.report.residual > opts.tol_outer:
-                raise
-            rep = exc.report
-        rep.normalization_value = norm(rep.p_star)
-        rep.outer_solves = 1
-        return rep
-
     solves = 0
     warm: Optional[np.ndarray] = None
     warm_pin: Optional[float] = None
-    feas_lo, feas_hi = np.inf, -np.inf
+    feas_hi = -np.inf
 
     def solve_at(g: float, use: SolverOptions) -> SolveReport:
-        nonlocal solves, warm, warm_pin, feas_lo, feas_hi
+        nonlocal solves, warm, warm_pin, feas_hi
         solves += 1
         try:
-            if warm is not None:
-                rep = solve_pinned(system, q, pin, g, use, p0=warm)
-            else:
-                rep = solve_pinned(system, q, pin, g, use)
+            rep = solve_pinned(system, q, pin, g, use, p0=warm)
         except MaxIterExceeded as exc:
             # the step criterion can stall on nearly-flat sections even when
             # the residual is already far below the requested tolerance; the
@@ -312,8 +305,31 @@ def solve_normalized(
                 raise
             rep = exc.report
         warm, warm_pin = rep.p_star, g
-        feas_lo, feas_hi = min(feas_lo, g), max(feas_hi, g)
+        feas_hi = max(feas_hi, g)
         return rep
+
+    def anchor(g: float, side: float) -> None:
+        # label is -1 below the window, +1 above it and 0 once any pin has
+        # solved: the first solved pin stops the walk, and the bisection
+        # makes no further solves
+        def label(t) -> float:
+            if warm_pin is None:
+                try:
+                    solve_at(float(t), opts)
+                except NoBracket:
+                    return 1.0
+                except EnvelopeNotDownwardResponsive:
+                    return -1.0
+            return 0.0
+
+        try:
+            lo, hi = _walk(label, g, system, pin, fx0=side, closed=True)
+        except NoBracket as exc:
+            raise BracketNotFound(f"no pin value admits a pinned solution: {exc}") from exc
+        if warm_pin is None:
+            bisect(label, lo, hi, opts.tol_bracket)
+        if warm_pin is None:
+            raise BracketNotFound("no pin value admits a pinned solution")
 
     def phi(g: float, tight: bool = False) -> Tuple[float, Optional[SolveReport]]:
         # Re-pinning a previously solved point gives a sub- or supersolution
@@ -328,10 +344,10 @@ def solve_normalized(
             try:
                 rep = solve_at(g, use)
                 return norm(rep.p_star), rep
-            except (NoBracket, EnvelopeNotDownwardResponsive):
-                pass
-            if warm_pin is None:
-                return -np.inf, None
+            except (NoBracket, EnvelopeNotDownwardResponsive) as exc:
+                if warm_pin is None:
+                    anchor(g, 1.0 if isinstance(exc, NoBracket) else -1.0)
+                    continue
             stepped = False
             t = 0.5
             while t > 2.0 ** -10:
@@ -343,60 +359,22 @@ def solve_normalized(
                     t *= 0.5
             if not stepped:
                 break
-        if np.isfinite(feas_hi) and g > feas_hi:
-            return np.inf, None
-        return -np.inf, None
+        return (np.inf if g > feas_hi else -np.inf), None
+
+    # pinning the same coordinate the normalization reads makes the outer
+    # search trivial: psi(p*) equals the pin value itself.  Solve tightly so
+    # the remaining inner-iteration error stays well under tol_bracket.
+    if norm.kind[0] == "coordinate" and int(norm.kind[1]) == pin:
+        val, rep = phi(K, tight=True)
+        if rep is None:
+            raise BracketNotFound(f"no pinned solution reaches the pin value {K}")
+        rep.normalization_value = val
+        rep.outer_solves = solves
+        return rep
 
     lo_in, hi_in = system.bounds.lower[pin] + BOUND_MARGIN, system.bounds.upper[pin] - BOUND_MARGIN
     g0 = float(min(max(pin_guess, lo_in), hi_in))
-    val0, rep0 = phi(g0)
-    if rep0 is None and warm_pin is None:
-        # No pinned solution at the guess and no anchor to continue from:
-        # scan outward for any feasible pin, labelling each failure by the
-        # exception it raised.  The feasible pin values form an interval, so
-        # when two probes fail for *different* reasons the window (if any)
-        # sits between them and bisection on the failure label homes in on
-        # it even when the window is far narrower than the scan step.
-        def probe(g: float):
-            g = float(min(max(g, lo_in), hi_in))
-            try:
-                return g, solve_at(g, opts), 0
-            except NoBracket:
-                return g, None, 1
-            except EnvelopeNotDownwardResponsive:
-                return g, None, -1
-
-        labels = {}
-        g0, _, lab = probe(g0)
-        labels[g0] = lab
-        scan = 1.0
-        for _ in range(MAX_EXPANSIONS):
-            for cand in (g0 + scan, g0 - scan):
-                c, rep, lab = probe(cand)
-                if rep is not None:
-                    g0, val0, rep0 = c, norm(rep.p_star), rep
-                    break
-                labels[c] = lab
-            if rep0 is not None:
-                break
-            scan *= 2.0
-        if rep0 is None:
-            pts = sorted(labels)
-            pair = next(
-                ((a, b) for a, b in zip(pts, pts[1:]) if labels[a] != labels[b]),
-                None,
-            )
-            while pair is not None and pair[1] - pair[0] > opts.tol_bracket:
-                a, b = pair
-                c, rep, lab = probe(0.5 * (a + b))
-                if rep is not None:
-                    g0, val0, rep0 = c, norm(rep.p_star), rep
-                    break
-                labels[c] = lab
-                pair = (c, b) if lab == labels[a] else (a, c)
-        if rep0 is None:
-            raise BracketNotFound("no pin value admits a pinned solution")
-
+    val0, _ = phi(g0)
     try:
         lo, hi = _walk(lambda g: phi(float(g))[0] - K, g0, system, pin, fx0=val0 - K, closed=True)
     except NoBracket as exc:

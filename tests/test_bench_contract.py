@@ -9,10 +9,12 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import equisub.cli  # noqa: F401  (the tracer wraps the cli layer too)
 from equisub import demand, matching
 from equisub import normalization as nz
+from equisub.errors import BracketNotFound
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from tracing import Tracer  # noqa: E402
@@ -35,6 +37,30 @@ def test_tracer_counts_every_sweep_through_sweep_solver():
         demand.invert_demand(model, s, nz.coordinate(0), 0.0)
     finally:
         tracer.uninstall()
+    assert tracer.self_check() == []
+    layer = tracer.per_layer(1.0)
+    assert layer["solver.sweeps"] == layer["system.sweep_solver.calls"] > 0
+
+
+def test_tracer_counts_failed_sweeps_and_keeps_the_logit_closed_form():
+    # built before the tracer wraps demand_logit: the wrapped function must
+    # still select the closed-form sweep
+    model = demand.logit_model(4)
+    rng = np.random.default_rng(1)
+    alpha, gamma = rng.normal(0.0, 0.5, size=(2, 2, 2))
+    etu = matching.MarketPrimitives(family=matching.etu_family(alpha, gamma), n=np.ones(2), m=np.ones(2))
+    tracer = Tracer()
+    tracer.install()
+    try:
+        # no equilibrium at K = 0.5 (hybr finds no root either); the pin
+        # search's failed sweeps carry their reports
+        with pytest.raises(BracketNotFound):
+            matching.solve_mfe(etu, nz.coordinate(2), 0.5)
+        s = demand.demand_logit(np.array([0.0, -0.3, 0.2, 0.4]))
+        inv = demand.invert_demand(model, s, nz.coordinate(0), 0.0)
+    finally:
+        tracer.uninstall()
+    assert inv.report.iterations <= 2
     assert tracer.self_check() == []
     layer = tracer.per_layer(1.0)
     assert layer["solver.sweeps"] == layer["system.sweep_solver.calls"] > 0

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import root
 
 from equisub import normalization as nz
 from equisub.errors import BalanceViolated, FamilyLacksTransfers
@@ -211,6 +212,43 @@ def test_itu_with_numeric_derivatives_solves_etu_market(norm):
     eq_etu = solve_mfe(MarketPrimitives(family=etu_family(alpha, gamma), n=n, m=m), norm, 0.0)
     assert np.max(np.abs(eq_itu.mu - eq_etu.mu)) <= 1e-9
     assert np.allclose(eq_itu.mu.sum(axis=1), n, atol=1e-9)
+
+
+def test_etu_coordinate_psi_on_the_pin_continues_to_K():
+    # ETU 2x2 with coordinate psi on b_0 at K = -0.5: the cold subsolution
+    # build fails at the pin, but the market has an equilibrium there (hybr
+    # finds it); the pin search anchors at a solvable pin and continues to K
+    rng = np.random.default_rng(1)
+    alpha, gamma = rng.normal(0.0, 0.5, size=(2, 2, 2))
+    fam = etu_family(alpha, gamma)
+    K = -0.5
+
+    def excess(z):
+        mu = fam.match(z[:2], z[2:])
+        return np.r_[mu.sum(axis=1) - 1.0, mu.sum(axis=0)[0] - 1.0, z[2] - K]
+
+    oracle = root(excess, np.zeros(4), method="hybr")
+    assert oracle.success
+    eq = solve_mfe(MarketPrimitives(family=fam, n=np.ones(2), m=np.ones(2)), nz.coordinate(2), K)
+    assert np.max(np.abs(np.r_[eq.a, eq.b] - oracle.x)) <= 1e-9
+    assert eq.b[0] == K
+
+
+def test_etu_mean_psi_recovers_planted_fees():
+    # planted fees: the masses are the margins of M(a*, b*) and K is
+    # psi(-a*, b*), so the solver must return a*, b* themselves
+    rng = np.random.default_rng(0)
+    alpha, gamma = rng.normal(0.0, 0.5, (2, 2, 2))
+    a_star, b_star = rng.normal(0.0, 0.25, (2, 2))
+    fam = etu_family(alpha, gamma)
+    mu = fam.match(a_star, b_star)
+    prim = MarketPrimitives(family=fam, n=mu.sum(axis=1), m=mu.sum(axis=0))
+    eq = solve_mfe(prim, nz.mean(), float(np.mean(np.r_[-a_star, b_star])))
+    assert np.max(np.abs(eq.a - a_star)) <= 1e-6
+    assert np.max(np.abs(eq.b - b_star)) <= 1e-6
+    assert eq.report.outer_solves <= 100
+    widths = [hi - lo for lo, hi in eq.report.bracket_history]
+    assert all(w1 == 0.5 * w0 for w0, w1 in zip(widths, widths[1:]))
 
 
 def test_comparative_statics_tu_match_invariant(tu_2x2_diag):
