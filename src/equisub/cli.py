@@ -91,6 +91,16 @@ def _write_report(out_dir, name, payload):
         fh.write("\n")
 
 
+def _solve_block(rep):
+    """The report fields every solving command writes from its SolveReport."""
+    return {
+        "residual": rep.residual,
+        "iterations": rep.iterations,
+        "outer_solves": rep.outer_solves,
+        "normalization_value": rep.normalization_value,
+    }
+
+
 def _read_market_csv(path):
     rows = []
     with open(path) as fh:
@@ -188,9 +198,7 @@ def cmd_match(cfg, out_dir, args):
             "b": eq.b.tolist(),
             "K": K,
             "family": fam.kind,
-            "residual": eq.report.residual,
-            "iterations": eq.report.iterations,
-            "outer_solves": eq.report.outer_solves,
+            **_solve_block(eq.report),
         },
     )
     return 0
@@ -243,9 +251,7 @@ def cmd_invert(cfg, out_dir, args):
             "command": "invert",
             "K": K,
             "model": model.label,
-            "residual": result.report.residual,
-            "iterations": result.report.iterations,
-            "normalization_value": result.report.normalization_value,
+            **_solve_block(result.report),
         },
     )
     return 0

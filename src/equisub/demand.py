@@ -233,10 +233,12 @@ def build_demand_system(model: DemandModel) -> SupplySystem:
 
     batch = None
     sweep = None
+    additive = False  # U = delta + draws (or logit): shares see only differences
     # unwrapped on both sides, so a wrapper around demand_logit (installed
     # before or after the model was built) still selects the closed form
     if inspect.unwrap(model.closed_form) is inspect.unwrap(demand_logit):
         batch = demand_logit
+        additive = True
 
         def sweep(q, p, pin):
             # the target shares determine the qualities up to translation and
@@ -246,6 +248,7 @@ def build_demand_system(model: DemandModel) -> SupplySystem:
 
     elif model.closed_form is None and model.affine_parts is not None:
         sweep = _mc_sweep(model)
+        additive = bool(np.all(model.affine_parts[0] == 1.0))
 
     return SupplySystem(
         dim=Z,
@@ -256,6 +259,7 @@ def build_demand_system(model: DemandModel) -> SupplySystem:
         eval_batch=batch,
         sweep_solver=sweep,
         label=model.label,
+        translation_invariant=additive and model.bounds.is_unbounded,
     )
 
 

@@ -389,6 +389,8 @@ def build_mfe_system(prim: MarketPrimitives) -> Tuple[SupplySystem, np.ndarray]:
         eval_batch=q_of_p,
         sweep_solver=sweep,
         label=f"matching-{fam.kind}-{X}x{Y}",
+        # log M depends on a + b only: shifting p = (-a, b) by t keeps it
+        translation_invariant=fam.kind in ("TU", "NTU"),
     )
     q = np.concatenate([-prim.n, prim.m])
     return system, q

@@ -5,7 +5,8 @@ coordinate's scalar equation solved given the others: the system's
 sweep_solver, else bisection_sweep) from a point where the system lies
 weakly below its targets; under gross substitutability the iterates
 increase monotonically to the pinned solution.  solve_normalized wraps
-the pinned solver in a bisection on the pinned value to meet psi(p) = K.
+the pinned solver in a bisection on the pinned value to meet psi(p) = K;
+on a translation-invariant system its probes shift one pinned solution.
 """
 from __future__ import annotations
 
@@ -179,10 +180,12 @@ def solve_pinned(
     iterates the system's sweep_solver, or bisection_sweep without one;
     each sweep result is kept BOUND_MARGIN inside finite bounds.
     Convergence requires both the sup-norm residual and the sup-norm step
-    to fall below tol_outer; an exact fixed point (step 0) may keep a
-    residual up to tol_outer + ROUNDING_FLOOR * ||q||_1.  A NoBracket
-    raised by a sweep carries the report of the iterate that sweep started
-    from, its iterations counting the failed sweep.
+    to fall below tol_outer; a fixed point up to rounding (step 0, or a
+    sweep that returns the iterate before last) may keep a residual up to
+    tol_outer + ROUNDING_FLOOR * ||q||_1, and otherwise ends the solve
+    unconverged.  A NoBracket raised by a sweep carries the report of the
+    iterate that sweep started from, its iterations counting the failed
+    sweep.
     """
     q = np.asarray(q, dtype=float)
     if p0 is None:
@@ -196,6 +199,7 @@ def solve_pinned(
     lo_in, hi_in = system.bounds.lower + BOUND_MARGIN, system.bounds.upper - BOUND_MARGIN
     monotone = True
     qval = eval_supply(system, p)
+    p_prev = None  # the iterate before p
 
     for it in range(1, opts.max_iter_jacobi + 1):
         try:
@@ -215,15 +219,17 @@ def solve_pinned(
         step = float(np.max(np.abs(p_new - p))) if free else 0.0
         qval = eval_supply(system, p_new)
         residual = float(np.max(np.abs(qval - q)))
-        p = p_new
-        # an exact fixed point of the sweep map (step 0) can make no further
-        # progress.  Its residual may sit at the rounding floor of the
-        # targets, of order eps * ||q||_1 for count-sized q (the scaling
-        # eval_supply's balance guard allows), and then it is converged;
-        # otherwise (e.g. simulated supply with finite resolution) stop now
-        # instead of spinning.
+        # a fixed point of the sweep map up to rounding (step 0, or a
+        # two-cycle in the last bits: count-sized TU targets flip p by one
+        # unit in the last place) can make no further progress.  Its
+        # residual may sit at the rounding floor of the targets, of order
+        # eps * ||q||_1 for count-sized q (the scaling eval_supply's balance
+        # guard allows), and then it is converged; otherwise (e.g. simulated
+        # supply with finite resolution) stop now instead of spinning.
+        at_fixed_point = step == 0.0 or (p_prev is not None and np.array_equal(p_new, p_prev))
+        p_prev, p = p, p_new
         tol = opts.tol_outer
-        if step == 0.0:
+        if at_fixed_point:
             tol += ROUNDING_FLOOR * np.abs(q).sum()
         if residual <= tol and step <= opts.tol_outer:
             return SolveReport(
@@ -232,7 +238,7 @@ def solve_pinned(
                 iterations=it,
                 monotone_certificate=monotone,
             )
-        if step == 0.0:
+        if at_fixed_point:
             break
 
     report = SolveReport(
@@ -272,6 +278,13 @@ def solve_normalized(
     pin_guess and then halved exactly (the width sequence is width0 / 2^k
     in floating point) until it is narrower than tol_bracket and the
     normalization gap is within tol_bracket.
+
+    On a translation-invariant system the first pinned solution is
+    re-solved at once at the tight tolerance, and every later pin is
+    reached by shifting it by a constant (kept when its re-measured
+    residual meets the probe's tol_outer; it copies the source's
+    iterations and certificate).  Shifts are not pinned solves:
+    outer_solves counts real ones only.
     """
     lo_K, hi_K = norm.value_range
     if not (lo_K < K < hi_K):
@@ -287,25 +300,49 @@ def solve_normalized(
         max_iter_jacobi=opts.max_iter_jacobi * (10 if refining else 1),
     )
 
-    solves = 0
-    warm: Optional[np.ndarray] = None
-    warm_pin: Optional[float] = None
+    solves = 0  # real pinned solves; shifts do not count
+    warm: Optional[SolveReport] = None  # last real pinned solution,
+    warm_pin: Optional[float] = None    # its pin value
+    warm_tol = np.inf                   # and the tol_outer it met
     feas_hi = -np.inf
 
     def solve_at(g: float, use: SolverOptions) -> SolveReport:
-        nonlocal solves, warm, warm_pin, feas_hi
+        nonlocal solves, warm, warm_pin, warm_tol, feas_hi
+        p0 = None if warm is None else warm.p_star
+        if system.translation_invariant:
+            if warm is not None:
+                # Q(p + t*1) = Q(p): the solved point shifted by g - warm_pin
+                # is the pinned solution at g up to rounding, which the
+                # re-measured residual checks; otherwise it warm-starts
+                p0 = warm.p_star + (g - warm_pin)
+                p0[pin] = g
+                if warm_tol <= use.tol_outer:
+                    residual = float(np.max(np.abs(eval_supply(system, p0) - q)))
+                    if residual <= use.tol_outer:
+                        feas_hi = max(feas_hi, g)
+                        return SolveReport(
+                            p_star=p0,
+                            residual=residual,
+                            iterations=warm.iterations,
+                            monotone_certificate=warm.monotone_certificate,
+                        )
         solves += 1
         try:
-            rep = solve_pinned(system, q, pin, g, use, p0=warm)
+            rep = solve_pinned(system, q, pin, g, use, p0=p0)
+            tol = use.tol_outer
         except MaxIterExceeded as exc:
             # the step criterion can stall on nearly-flat sections even when
             # the residual is already far below the requested tolerance; the
             # iterate is then a perfectly good solution of Q(p) = q
             if exc.report is None or exc.report.residual > opts.tol_outer:
                 raise
-            rep = exc.report
-        warm, warm_pin = rep.p_star, g
+            rep, tol = exc.report, opts.tol_outer
+        warm, warm_pin, warm_tol = rep, g, tol
         feas_hi = max(feas_hi, g)
+        if system.translation_invariant and use.tol_outer > tight_opts.tol_outer:
+            # every later pin is a shift of this solution: refine it now, in
+            # place, so that psi does not move when the tight probes begin
+            return solve_at(g, tight_opts)
         return rep
 
     def anchor(g: float, side: float) -> None:

@@ -42,6 +42,10 @@ class Bounds:
     def dim(self) -> int:
         return self.lower.shape[0]
 
+    @property
+    def is_unbounded(self) -> bool:
+        return bool(np.all(np.isinf(self.lower)) and np.all(np.isinf(self.upper)))
+
     def contains(self, p: np.ndarray) -> bool:
         return bool(np.all(p > self.lower) and np.all(p < self.upper))
 
@@ -72,7 +76,11 @@ class SupplySystem:
       free coordinate's left root of Q_z(t, p_{-z}) = q[z] given the
       others (the caller resets the pinned entry and keeps the result
       inside the bounds).  Without one, the pinned solver sweeps by
-      bracketing and bisection (solver.bisection_sweep).
+      bracketing and bisection (solver.bisection_sweep);
+    - translation_invariant: Q(p + t*1) = Q(p) for all t, and the box is
+      unbounded, so a pinned solution at one pin value shifted by a
+      constant is the pinned solution at another.  Builders set it for
+      the families where it holds; it is not a solver option.
     """
 
     dim: int
@@ -83,12 +91,15 @@ class SupplySystem:
     eval_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
     sweep_solver: Optional[Callable[[np.ndarray, np.ndarray, int], np.ndarray]] = None
     label: str = ""
+    translation_invariant: bool = False
     # not a field: perfbench/tracing.py reads it when it wraps a system
     coordinate_solver = None
 
     def __post_init__(self):
         if self.bounds.dim != self.dim:
             raise DimensionMismatch("bounds dimension does not match system dimension")
+        if self.translation_invariant and not self.bounds.is_unbounded:
+            raise DimensionMismatch("a translation-invariant system needs an unbounded box")
 
 
 def eval_supply(system: SupplySystem, p: np.ndarray) -> np.ndarray:

@@ -8,7 +8,7 @@ import pytest
 from equisub import matching
 from equisub import normalization as nz
 from equisub.cli import main
-from equisub.demand import invert_demand, logit_model
+from equisub.demand import demand_mc, invert_demand, logit_mc_model, logit_model
 from equisub.errors import EnvelopeNotDownwardResponsive
 from equisub.estimation import predicted_frequencies, tu_surplus_spec
 
@@ -64,6 +64,24 @@ def test_match_symmetric_market(tmp_path):
     rep = read_report(out)
     assert rep["schema_version"] == 1
     assert rep["residual"] <= 1e-8
+
+
+def test_match_mean_psi_reports_the_solve_block(tmp_path):
+    cfg = write_json(tmp_path / "cfg.json", {
+        "market_csv": write_market(tmp_path, [[2 * LN2, 0.0], [0.0, 2 * LN2]]),
+        "masses_csv": write_masses(tmp_path, [1.0, 1.0], [1.0, 1.0]),
+        "family": {"kind": "TU"},
+        "normalization": {"kind": "mean"},
+        "K": 0.4,
+    })
+    out = tmp_path / "out"
+    assert main(["match", "--config", cfg, "--out", str(out)]) == 0
+    rep = read_report(out)
+    assert rep["residual"] <= 1e-9
+    assert rep["iterations"] >= 1
+    # TU is translation-invariant: one pinned solve plus one tight re-solve
+    assert 1 <= rep["outer_solves"] <= 2
+    assert abs(rep["normalization_value"] - 0.4) <= 1e-9
 
 
 def test_match_unbalanced_masses_is_config_failure(tmp_path):
@@ -129,6 +147,28 @@ def test_invert_deterministic_output(tmp_path):
     r1.pop("timestamp")
     r2.pop("timestamp")
     assert r1 == r2
+
+
+def test_invert_simulated_mean_psi_reports_the_solve_block(tmp_path):
+    R, K = 2000, 0.3
+    model = logit_mc_model(4, R, seed=5)
+    s = demand_mc(model, np.array([0.0, -0.3, 0.2, 0.4]))
+    cfg = invert_config(
+        tmp_path,
+        s.tolist(),
+        model={"family": "logit-mc", "R": R, "seed": 5},
+        normalization={"kind": "mean"},
+        K=K,
+    )
+    out = tmp_path / "out"
+    assert main(["invert", "--config", cfg, "--out", str(out)]) == 0
+    rep = read_report(out)
+    # simulated shares: tol_outer = tol_bracket = 10 / R
+    tol_bracket = 10.0 / R
+    assert rep["residual"] <= tol_bracket
+    assert rep["iterations"] >= 1
+    assert 1 <= rep["outer_solves"] <= 2
+    assert abs(rep["normalization_value"] - K) <= tol_bracket
 
 
 # ----------------------------------------------------------------------

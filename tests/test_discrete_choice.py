@@ -1,6 +1,8 @@
 """Closed-form and simulated demand, inversion, and structural residuals."""
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from equisub import normalization as nz
 from equisub.demand import (
@@ -175,6 +177,32 @@ def test_mc_sweep_equals_per_good_order_statistic(model):
             k = int(np.ceil(q[z] * R - 1e-9))
             assert got[z] == np.clip(t_r[k - 1], lo_in[z], hi_in[z])
     assert checked >= 3
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    family=st.sampled_from(["logit-mc", "rc-logit"]),
+    Z=st.sampled_from([4, 8]),
+)
+@settings(max_examples=20, deadline=None)
+def test_additive_simulated_mean_psi_inverts_by_shifts(seed, family, Z):
+    # additive simulated models are translation-invariant: mean psi takes at
+    # most two pinned solves and still reproduces the planted shares
+    R = 2000
+    rng = np.random.default_rng(seed)
+    if family == "logit-mc":
+        model = logit_mc_model(Z, R=R, seed=seed % 1000)
+    else:
+        model = rc_logit_model(rng.normal(size=(Z, 2)), np.array([0.5, 1.0]), R=R, seed=seed % 1000)
+    delta0 = rng.normal(0.0, 0.25, Z)
+    s = demand_mc(model, delta0)
+    assume(np.all(s > 0))  # a good no draw picks has no finite quality
+    K = float(np.mean(delta0))
+    res = invert_demand(model, s, nz.mean(), K)
+    assert res.report.outer_solves <= 2
+    # whole draws: shares are counts over R
+    assert np.max(np.abs(np.rint(res.shares * R) - np.rint(s * R))) <= 10
+    assert abs(res.report.normalization_value - K) <= 10.0 / R
 
 
 def test_invert_single_good_returns_the_level():

@@ -251,6 +251,47 @@ def test_etu_mean_psi_recovers_planted_fees():
     assert all(w1 == 0.5 * w0 for w0, w1 in zip(widths, widths[1:]))
 
 
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["TU", "NTU"]),
+    X=st.integers(2, 8),
+    Y=st.integers(2, 8),
+    psi=st.sampled_from(["mean", "max", "coordinate"]),
+    K=st.floats(-2.0, 2.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_invariant_families_match_the_bordered_oracle(seed, kind, X, Y, psi, K):
+    # TU and NTU are translation-invariant: the dichotomy reaches its pins
+    # by shifts, two pinned solves in all, and must still land on the root
+    # of the bordered system [Q(p) - q; psi(p) - K]
+    rng = np.random.default_rng(seed)
+    phi = rng.normal(0.0, 0.5, (X, Y))
+    fam = tu_family(phi=phi) if kind == "TU" else ntu_family(phi)
+    n, m = rng.uniform(0.5, 1.5, X), rng.uniform(0.5, 1.5, Y)
+    prim = MarketPrimitives(family=fam, n=n, m=m * n.sum() / m.sum())
+    if psi == "coordinate":
+        # any coordinate but the pin (the first Y-side one, X)
+        index = int(rng.integers(X + Y - 1))
+        norm = nz.coordinate(index + (index >= X))
+    else:
+        norm = nz.mean() if psi == "mean" else nz.max_coordinate()
+    system, q = build_mfe_system(prim)
+
+    def bordered(p):
+        # the balance identity makes one accounting row redundant
+        return np.r_[system.eval_fn(p)[1:] - q[1:], norm(p) - K]
+
+    # a generic start: psi = max has a kink wherever coordinates tie
+    oracle = root(bordered, rng.normal(0.0, 0.5, X + Y), method="hybr", options={"xtol": 1e-13})
+    assert np.max(np.abs(bordered(oracle.x))) <= 1e-11
+    eq = solve_mfe(prim, norm, K)
+    assert np.max(np.abs(np.r_[-eq.a, eq.b] - oracle.x)) <= 1e-8
+    assert eq.report.outer_solves <= 2
+    widths = [hi - lo for lo, hi in eq.report.bracket_history]
+    assert len(widths) >= 20
+    assert all(w1 == 0.5 * w0 for w0, w1 in zip(widths, widths[1:]))
+
+
 def test_comparative_statics_tu_match_invariant(tu_2x2_diag):
     prim, _, _ = tu_2x2_diag
     out = comparative_statics_K(prim, nz.mean(), [-0.4, -0.2, 0.0, 0.2, 0.4])

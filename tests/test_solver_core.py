@@ -1,5 +1,7 @@
 """Core solver tests: supply evaluation, bisection sweeps, pinned Jacobi
 solves, the normalized outer search, and normalization algebra."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from equisub.errors import (
     BalanceViolated,
+    DimensionMismatch,
     HintsMissing,
     NoBracket,
     NonFinite,
@@ -21,6 +24,7 @@ from equisub.normalization import (
     renormalize,
 )
 from equisub.solver import (
+    ROUNDING_FLOOR,
     SolverOptions,
     bisection_sweep,
     build_subsolution,
@@ -29,7 +33,23 @@ from equisub.solver import (
 )
 from equisub.roots import bisect, expand_bracket
 from equisub.system import Bounds, SubsolutionHints, SupplySystem, eval_supply
-from equisub.matching import MarketPrimitives, build_mfe_system, tu_family
+from equisub.demand import (
+    bridge_model,
+    build_demand_system,
+    logit_mc_model,
+    logit_model,
+    pure_characteristics_model,
+    rc_logit_model,
+)
+from equisub.matching import (
+    DIST_LOGMEAN,
+    MarketPrimitives,
+    build_mfe_system,
+    etu_family,
+    itu_family,
+    ntu_family,
+    tu_family,
+)
 
 from conftest import LN2, staged_grid_solve
 
@@ -231,6 +251,23 @@ def test_solve_pinned_matches_grid_reference(tu_2x2_diag):
     assert np.max(np.abs(rep.p_star - ref)) <= 1e-3
 
 
+def test_solve_pinned_stops_at_a_rounding_cycle():
+    # count-sized TU targets: from this point the closed-form sweep cycles
+    # by one unit in the last place of p, with the residual at the rounding
+    # floor of q; it must end as converged, not spin to max_iter_jacobi
+    prim = MarketPrimitives(
+        family=tu_family(phi=np.zeros((2, 2))),
+        n=np.array([500410.0, 499590.0]),
+        m=np.array([498945.0, 501055.0]),
+    )
+    system, q = build_mfe_system(prim)
+    p0 = np.array([-12.430853301234087, -12.427573300498931, 12.424993962049484, 12.433433974574761])
+    opts = SolverOptions(tol_outer=1e-13, max_iter_jacobi=2000)
+    rep = solve_pinned(system, q, 2, 12.424993962049484, opts, p0=p0)
+    assert rep.iterations < 100
+    assert rep.residual <= opts.tol_outer + ROUNDING_FLOOR * np.abs(q).sum()
+
+
 def test_jacobi_iterates_monotone_from_cold_start(tu_2x2_diag, logit3):
     for system, q in (tu_2x2_diag[1:], logit3):
         pin = (
@@ -355,3 +392,106 @@ def test_renormalize_rejects_diagonally_flat_map():
     flat = renormalize(lambda p: float(p[0] - p[1]))
     with pytest.raises(NotDiagonallyStrict):
         flat(np.array([1.0, 0.0]))
+
+
+# ----------------------------------------------------------------------
+# translation invariance: the trait the normalized solver shifts along
+
+R_TRAIT = 500
+
+
+def _market(family):
+    X, Y = family.shape
+    return build_mfe_system(MarketPrimitives(family, np.full(X, float(Y)), np.full(Y, float(X))))[0]
+
+
+# builder -> (system from an rng, tolerance of Q(p + t) = Q(p))
+INVARIANT_BUILDERS = {
+    "TU": (lambda rng: _market(tu_family(*rng.normal(0.0, 0.5, (2, 3, 4)))), 1e-12),
+    "TU-surplus": (lambda rng: _market(tu_family(phi=rng.normal(0.0, 0.5, (3, 2)))), 1e-12),
+    "NTU": (lambda rng: _market(ntu_family(rng.normal(0.0, 0.5, (4, 3)))), 1e-12),
+    "logit": (lambda rng: build_demand_system(logit_model(4)), 1e-12),
+    "logit-mc": (lambda rng: build_demand_system(logit_mc_model(4, R_TRAIT, int(rng.integers(100)))), 1.0 / R_TRAIT),
+    "rc-logit": (
+        lambda rng: build_demand_system(
+            rc_logit_model(rng.normal(size=(4, 2)), np.array([0.5, 1.0]), R_TRAIT, int(rng.integers(100)))
+        ),
+        1.0 / R_TRAIT,
+    ),
+    "pure-characteristics": (
+        lambda rng: build_demand_system(pure_characteristics_model(rng.normal(size=4), R_TRAIT, int(rng.integers(100)))),
+        1.0 / R_TRAIT,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(INVARIANT_BUILDERS))
+@given(seed=st.integers(0, 2**32 - 1), t=st.floats(-5.0, 5.0))
+@settings(max_examples=20, deadline=None)
+def test_translation_invariant_builders_are_invariant(name, seed, t):
+    make, tol = INVARIANT_BUILDERS[name]
+    rng = np.random.default_rng(seed)
+    system = make(rng)
+    assert system.translation_invariant
+    p = rng.uniform(-2.0, 2.0, system.dim)
+    assert np.max(np.abs(eval_supply(system, p + t) - eval_supply(system, p))) <= tol
+
+
+def test_translation_invariance_is_not_declared_where_it_fails():
+    rng = np.random.default_rng(0)
+    alpha, gamma = rng.normal(0.0, 0.5, (2, 3, 3))
+    etu = _market(etu_family(alpha, gamma))
+    itu = _market(itu_family(alpha, gamma, DIST_LOGMEAN))
+    bridge = build_demand_system(bridge_model(np.array([0.0, 0.5, 1.0]), R_TRAIT, 1))
+    boxed = replace(logit_mc_model(3, R_TRAIT, 1), bounds=Bounds(np.full(3, -10.0), np.full(3, 10.0)))
+    for system in (etu, itu, bridge, build_demand_system(boxed)):
+        assert not system.translation_invariant
+    # ETU is visibly not invariant: one shift moves the matches
+    p = rng.uniform(-1.0, 1.0, etu.dim)
+    assert np.max(np.abs(eval_supply(etu, p + 1.0) - eval_supply(etu, p))) > 1e-2
+
+
+def test_translation_invariant_system_needs_an_unbounded_box():
+    with pytest.raises(DimensionMismatch):
+        SupplySystem(
+            dim=2,
+            eval_fn=lambda p: np.array([0.5, 0.5]),
+            bounds=Bounds(np.array([-1.0, -np.inf]), np.full(2, np.inf)),
+            translation_invariant=True,
+        )
+
+
+def _widths(rep):
+    return [hi - lo for lo, hi in rep.bracket_history]
+
+
+def test_shift_keeps_the_dichotomy_of_criterion_04(tu_2x2_diag):
+    # criterion 04's two systems are translation-invariant: the pin values
+    # are reached by shifts, but the dichotomy still halves a real bracket
+    _, tu, q = tu_2x2_diag
+    cases = [(tu, q), (build_demand_system(logit_model(3)), np.array([0.5, 0.3, 0.2]))]
+    for system, q in cases:
+        assert system.translation_invariant
+        rep = solve_normalized(system, q, mean(), 0.0)
+        widths = _widths(rep)
+        assert len(widths) >= 20
+        assert all(w1 == 0.5 * w0 for w0, w1 in zip(widths, widths[1:]))
+        assert rep.outer_solves <= 2
+        assert abs(rep.normalization_value) <= SolverOptions().tol_bracket
+
+
+def test_non_invariant_market_still_solves_every_probe():
+    # the planted ETU 2x2 mean-psi market of test_matching: no shift, so
+    # every probe of the dichotomy is a real pinned solve
+    rng = np.random.default_rng(0)
+    alpha, gamma = rng.normal(0.0, 0.5, (2, 2, 2))
+    a_star, b_star = rng.normal(0.0, 0.25, (2, 2))
+    fam = etu_family(alpha, gamma)
+    mu = fam.match(a_star, b_star)
+    system, q = build_mfe_system(MarketPrimitives(family=fam, n=mu.sum(axis=1), m=mu.sum(axis=0)))
+    assert not system.translation_invariant
+    rep = solve_normalized(system, q, mean(), float(np.mean(np.r_[-a_star, b_star])))
+    widths = _widths(rep)
+    assert rep.outer_solves > 2
+    assert len(widths) >= 20
+    assert all(w1 == 0.5 * w0 for w0, w1 in zip(widths, widths[1:]))
