@@ -91,14 +91,19 @@ def _write_report(out_dir, name, payload):
         fh.write("\n")
 
 
-def _solve_block(rep):
-    """The report fields every solving command writes from its SolveReport."""
-    return {
+def _solve_block(rep, verbose):
+    """The report fields every solving command writes from its SolveReport;
+    --verbose prints them too."""
+    block = {
         "residual": rep.residual,
         "iterations": rep.iterations,
         "outer_solves": rep.outer_solves,
         "normalization_value": rep.normalization_value,
     }
+    if verbose:
+        for key, value in block.items():
+            print(f"{key}: {value}")
+    return block
 
 
 def _read_market_csv(path):
@@ -198,7 +203,7 @@ def cmd_match(cfg, out_dir, args):
             "b": eq.b.tolist(),
             "K": K,
             "family": fam.kind,
-            **_solve_block(eq.report),
+            **_solve_block(eq.report, args.verbose),
         },
     )
     return 0
@@ -251,7 +256,7 @@ def cmd_invert(cfg, out_dir, args):
             "command": "invert",
             "K": K,
             "model": model.label,
-            **_solve_block(result.report),
+            **_solve_block(result.report, args.verbose),
         },
     )
     return 0

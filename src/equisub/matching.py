@@ -231,12 +231,6 @@ def itu_family(alpha, gamma, distance: DistanceFamily) -> MatchingFamily:
     return MatchingFamily(kind="ITU", alpha=alpha, gamma=gamma, distance=distance)
 
 
-def matching_function_eval(family: MatchingFamily, a_x: float, b_y: float, pair: Tuple[int, int]) -> float:
-    """Single-pair evaluation M_xy(a_x, b_y)."""
-    X, Y = family.shape
-    return float(np.exp(family.log_match(np.full(X, a_x), np.full(Y, b_y))[pair]))
-
-
 # ----------------------------------------------------------------------
 # market container and system construction
 

@@ -14,6 +14,9 @@ import numpy as np
 from .errors import NoBracket, NotDiagonallyStrict
 from .roots import bisect, expand_bracket
 
+RENORM_TOL = 1e-12  # bisection tolerance of the diagonal root
+FLAT_PROBE = 1e-3   # offset of the flat-at-root probes
+
 
 @dataclass(frozen=True)
 class Normalization:
@@ -109,12 +112,7 @@ def min_coordinate(value_range=(-np.inf, np.inf)) -> Normalization:
     )
 
 
-def renormalize(
-    raw: Callable[[np.ndarray], float],
-    tol: float = 1e-12,
-    max_expansions: int = 64,
-    flat_probe: float = 1e-3,
-) -> Normalization:
+def renormalize(raw: Callable[[np.ndarray], float]) -> Normalization:
     """Turn a raw scalar map into a proper normalization.
 
     The returned psi(p) is the root t of raw(p - t*1) = 0, located by
@@ -138,16 +136,16 @@ def renormalize(
         root = 0.0
         if f0 != 0:
             try:
-                lo, hi = expand_bracket(f, 0.0, fx0=f0, closed=True, max_expansions=max_expansions)
+                lo, hi = expand_bracket(f, 0.0, fx0=f0, closed=True)
             except NoBracket as exc:
-                if abs(exc.last_value - f0) <= tol:
+                if abs(exc.last_value - f0) <= RENORM_TOL:
                     raise NotDiagonallyStrict("raw map is flat along the diagonal") from exc
                 raise
-            root = float(bisect(f, lo, hi, tol)[1])
+            root = float(bisect(f, lo, hi, RENORM_TOL)[1])
 
         # flat-at-root detection: a strictly increasing diagonal section has
         # f < 0 just left of the root and f > 0 just right of it
-        if f(root + flat_probe) <= 0.0 or f(root - flat_probe) >= 0.0:
+        if f(root + FLAT_PROBE) <= 0.0 or f(root - FLAT_PROBE) >= 0.0:
             raise NotDiagonallyStrict("raw map is flat on an interval at its root")
         return root
 

@@ -18,6 +18,8 @@ from .errors import NoBracket
 
 Section = Callable[[np.ndarray], np.ndarray]
 
+STEP = 1.0  # first step of an expand_bracket walk; later steps double
+
 
 def expand_bracket(
     f: Section,
@@ -27,7 +29,6 @@ def expand_bracket(
     *,
     fx0=None,
     closed: bool = False,
-    step: float = 1.0,
     bound_margin: float = 0.0,
     max_expansions: int = 64,
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -35,7 +36,7 @@ def expand_bracket(
 
     Returns (lo, hi) with f(lo) < 0 <= f(hi), or f(lo) <= 0 <= f(hi) when
     closed.  An element whose start cannot serve as lo walks down from x0,
-    any other walks up, in steps 1, 2, 4, ... (times step); lo and hi are
+    any other walks up, in steps 1, 2, 4, ... (times STEP); lo and hi are
     the last two points of the walk, x0 counting as the first.  Probes stay
     bound_margin inside the open box (lower, upper).  fx0 is f(x0) when the
     caller already has it; +inf or -inf forces a walk down or up without
@@ -50,6 +51,7 @@ def expand_bracket(
     sign = np.where(down, -1.0, 1.0)
     lo_in, hi_in = np.add(lower, bound_margin), np.subtract(upper, bound_margin)
 
+    step = STEP
     last = prev = x0
     todo = np.ones(x0.shape, dtype=bool)
     for _ in range(max_expansions + 1):

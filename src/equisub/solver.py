@@ -264,13 +264,14 @@ def solve_normalized(
 ) -> SolveReport:
     """Solve Q(p) = q subject to psi(p) = K.
 
-    Every pin value is reached through one pin search, phi: a pinned solve
-    warm-started from the last solved pin, with halving continuation from
-    that anchor when the direct solve fails.  Before any pin has solved, a
+    Every pin value is reached through one pin search, phi: one pinned
+    solve warm-started from the last solved pin.  When that solve fails no
+    pinned solution exists at the pin, and phi signs psi +/-inf by the side
+    of the solved range the pin lies on.  Before any pin has solved, a
     failed cold solve names its side of the window of cold-solvable pins
     (EnvelopeNotDownwardResponsive below, NoBracket above); a one-way walk
     from the pin, then a bisection on the failure side, finds the first
-    anchor or raises BracketNotFound.
+    anchor or raises BracketNotFound, and the pin is tried once more.
 
     When psi reads the pinned coordinate the answer is phi at K.  Otherwise
     the solve bisects on the pinned value, comparing psi at each pinned
@@ -279,12 +280,12 @@ def solve_normalized(
     in floating point) until it is narrower than tol_bracket and the
     normalization gap is within tol_bracket.
 
-    On a translation-invariant system the first pinned solution is
-    re-solved at once at the tight tolerance, and every later pin is
-    reached by shifting it by a constant (kept when its re-measured
-    residual meets the probe's tol_outer; it copies the source's
-    iterations and certificate).  Shifts are not pinned solves:
-    outer_solves counts real ones only.
+    On a translation-invariant system every real pinned solve runs at the
+    tight tolerance, and every pin after the first is reached by shifting
+    the last solution by a constant (kept when its re-measured residual
+    meets the probe's tol_outer; it copies the source's iterations and
+    certificate), so a solve whose shifts all hold makes one pinned solve.
+    Shifts are not pinned solves: outer_solves counts real ones only.
     """
     lo_K, hi_K = norm.value_range
     if not (lo_K < K < hi_K):
@@ -301,48 +302,43 @@ def solve_normalized(
     )
 
     solves = 0  # real pinned solves; shifts do not count
-    warm: Optional[SolveReport] = None  # last real pinned solution,
-    warm_pin: Optional[float] = None    # its pin value
-    warm_tol = np.inf                   # and the tol_outer it met
+    warm: Optional[SolveReport] = None  # last real pinned solution
     feas_hi = -np.inf
 
     def solve_at(g: float, use: SolverOptions) -> SolveReport:
-        nonlocal solves, warm, warm_pin, warm_tol, feas_hi
+        nonlocal solves, warm, feas_hi
         p0 = None if warm is None else warm.p_star
         if system.translation_invariant:
             if warm is not None:
-                # Q(p + t*1) = Q(p): the solved point shifted by g - warm_pin
-                # is the pinned solution at g up to rounding, which the
-                # re-measured residual checks; otherwise it warm-starts
-                p0 = warm.p_star + (g - warm_pin)
+                # Q(p + t*1) = Q(p): the solved point shifted to pin g is the
+                # pinned solution at g up to rounding, which the re-measured
+                # residual checks; otherwise it warm-starts
+                p0 = warm.p_star + (g - warm.p_star[pin])
                 p0[pin] = g
-                if warm_tol <= use.tol_outer:
-                    residual = float(np.max(np.abs(eval_supply(system, p0) - q)))
-                    if residual <= use.tol_outer:
-                        feas_hi = max(feas_hi, g)
-                        return SolveReport(
-                            p_star=p0,
-                            residual=residual,
-                            iterations=warm.iterations,
-                            monotone_certificate=warm.monotone_certificate,
-                        )
+                residual = float(np.max(np.abs(eval_supply(system, p0) - q)))
+                if residual <= use.tol_outer:
+                    feas_hi = max(feas_hi, g)
+                    return SolveReport(
+                        p_star=p0,
+                        residual=residual,
+                        iterations=warm.iterations,
+                        monotone_certificate=warm.monotone_certificate,
+                    )
+            # later pins shift this solution: solve it tightly, so that psi
+            # does not move when the tight probes begin
+            use = tight_opts
         solves += 1
         try:
             rep = solve_pinned(system, q, pin, g, use, p0=p0)
-            tol = use.tol_outer
         except MaxIterExceeded as exc:
             # the step criterion can stall on nearly-flat sections even when
             # the residual is already far below the requested tolerance; the
             # iterate is then a perfectly good solution of Q(p) = q
             if exc.report is None or exc.report.residual > opts.tol_outer:
                 raise
-            rep, tol = exc.report, opts.tol_outer
-        warm, warm_pin, warm_tol = rep, g, tol
+            rep = exc.report
+        warm = rep
         feas_hi = max(feas_hi, g)
-        if system.translation_invariant and use.tol_outer > tight_opts.tol_outer:
-            # every later pin is a shift of this solution: refine it now, in
-            # place, so that psi does not move when the tight probes begin
-            return solve_at(g, tight_opts)
         return rep
 
     def anchor(g: float, side: float) -> None:
@@ -350,7 +346,7 @@ def solve_normalized(
         # solved: the first solved pin stops the walk, and the bisection
         # makes no further solves
         def label(t) -> float:
-            if warm_pin is None:
+            if warm is None:
                 try:
                     solve_at(float(t), opts)
                 except NoBracket:
@@ -363,39 +359,28 @@ def solve_normalized(
             lo, hi = _walk(label, g, system, pin, fx0=side, closed=True)
         except NoBracket as exc:
             raise BracketNotFound(f"no pin value admits a pinned solution: {exc}") from exc
-        if warm_pin is None:
+        if warm is None:
             bisect(label, lo, hi, opts.tol_bracket)
-        if warm_pin is None:
+        if warm is None:
             raise BracketNotFound("no pin value admits a pinned solution")
 
     def phi(g: float, tight: bool = False) -> Tuple[float, Optional[SolveReport]]:
-        # Re-pinning a previously solved point gives a sub- or supersolution
-        # (by substitutability), so earlier solves warm-start later ones and
-        # cover pins the cold-start envelope construction cannot reach.  When
-        # a direct solve fails, the warm anchor is walked toward g in halved
-        # steps (continuation); if even that stalls, no pinned solution
-        # exists at g and psi is signed +/-inf by which side of the solved
-        # range g lies on, which keeps the bisection direction correct.
+        # Re-pinning a solved point higher gives a subsolution and lower a
+        # supersolution (by substitutability), so one warm solve from the
+        # last solved pin reaches any pin that has a pinned solution, and
+        # covers pins the cold-start envelope construction cannot reach.
+        # If it fails, no pinned solution exists at g, and psi is signed
+        # +/-inf by which side of the solved range g lies on, which keeps
+        # the bisection direction correct.
         use = tight_opts if tight else opts
-        for _ in range(8):
+        for _ in range(2):
             try:
                 rep = solve_at(g, use)
                 return norm(rep.p_star), rep
             except (NoBracket, EnvelopeNotDownwardResponsive) as exc:
-                if warm_pin is None:
-                    anchor(g, 1.0 if isinstance(exc, NoBracket) else -1.0)
-                    continue
-            stepped = False
-            t = 0.5
-            while t > 2.0 ** -10:
-                try:
-                    solve_at(warm_pin + t * (g - warm_pin), use)
-                    stepped = True
+                if warm is not None:
                     break
-                except (NoBracket, EnvelopeNotDownwardResponsive):
-                    t *= 0.5
-            if not stepped:
-                break
+                anchor(g, 1.0 if isinstance(exc, NoBracket) else -1.0)
         return (np.inf if g > feas_hi else -np.inf), None
 
     # pinning the same coordinate the normalization reads makes the outer

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from scipy.optimize import root
 
 from equisub import normalization as nz
-from equisub.errors import BalanceViolated, FamilyLacksTransfers
+from equisub import solver
+from equisub.errors import BalanceViolated, BracketNotFound, FamilyLacksTransfers
 from equisub.matching import (
     DIST_AVERAGE,
     DIST_LOGMEAN,
@@ -21,7 +22,6 @@ from equisub.matching import (
     identify_cross_differences,
     identify_preferences,
     itu_family,
-    matching_function_eval,
     ntu_family,
     recover_transfers,
     solve_mfe,
@@ -40,30 +40,30 @@ finite = st.floats(min_value=-20.0, max_value=20.0, allow_nan=False)
 
 def test_tu_eval_at_zero():
     fam = tu_family(phi=np.zeros((2, 2)))
-    assert matching_function_eval(fam, 0.0, 0.0, (0, 1)) == pytest.approx(1.0)
+    assert np.exp(fam.log_match(np.zeros(2), np.zeros(2))[0, 1]) == pytest.approx(1.0)
 
 
 def test_tu_eval_halves_surplus_plus_fees():
     fam = tu_family(phi=np.array([[2.0]]))
     # M = exp((phi + a + b) / 2)
-    assert matching_function_eval(fam, 1.0, -1.0, (0, 0)) == pytest.approx(np.exp(1.0))
+    assert np.exp(fam.log_match(np.array([1.0]), np.array([-1.0]))[0, 0]) == pytest.approx(np.exp(1.0))
 
 
 def test_etu_eval_at_zero():
     fam = etu_family(alpha=np.zeros((2, 2)), gamma=np.zeros((2, 2)))
-    assert matching_function_eval(fam, 0.0, 0.0, (1, 0)) == pytest.approx(1.0)
+    assert np.exp(fam.log_match(np.zeros(2), np.zeros(2))[1, 0]) == pytest.approx(1.0)
 
 
 def test_etu_is_harmonic_mean():
     fam = etu_family(alpha=np.zeros((1, 1)), gamma=np.zeros((1, 1)))
     a, b = 0.7, -0.3
     expected = 2.0 / (np.exp(-a) + np.exp(-b))
-    assert matching_function_eval(fam, a, b, (0, 0)) == pytest.approx(expected)
+    assert np.exp(fam.log_match(np.array([a]), np.array([b]))[0, 0]) == pytest.approx(expected)
 
 
 def test_ntu_eval():
     fam = ntu_family(phi=np.ones((2, 2)))
-    assert matching_function_eval(fam, -0.5, -0.5, (0, 0)) == pytest.approx(1.0)
+    assert np.exp(fam.log_match(np.full(2, -0.5), np.full(2, -0.5))[0, 0]) == pytest.approx(1.0)
 
 
 def test_log_match_batch_rows_equal_single_calls():
@@ -100,9 +100,9 @@ def test_mfe_envelopes_equal_whole_table_values():
         system, _ = build_mfe_system(MarketPrimitives(family=fam, n=np.ones(X), m=np.full(Y, 0.75)))
         envelopes = system.subsolution_hints.envelopes
         for p in rng.normal(size=(5, X + Y)):
-            for x in range(X):
-                assert envelopes[x](p) == -matching_function_eval(fam, -p[x], p[X], (x, 0))
             table = np.exp(fam.log_match(-p[:X], p[X:]))
+            for x in range(X):
+                assert envelopes[x](p) == -table[x, 0]
             for j in range(1, Y):
                 assert envelopes[X + j - 1](p) == float(table[:, j].sum())
 
@@ -232,6 +232,26 @@ def test_etu_coordinate_psi_on_the_pin_continues_to_K():
     eq = solve_mfe(MarketPrimitives(family=fam, n=np.ones(2), m=np.ones(2)), nz.coordinate(2), K)
     assert np.max(np.abs(np.r_[eq.a, eq.b] - oracle.x)) <= 1e-9
     assert eq.b[0] == K
+
+
+def test_etu_coordinate_psi_without_equilibrium_fails_fast(monkeypatch):
+    # the same market at K = 0.5 has no equilibrium (hybr finds no root):
+    # after the anchor, one warm solve at the pin fails and the search stops
+    # there instead of creeping toward K
+    rng = np.random.default_rng(1)
+    alpha, gamma = rng.normal(0.0, 0.5, size=(2, 2, 2))
+    prim = MarketPrimitives(family=etu_family(alpha, gamma), n=np.ones(2), m=np.ones(2))
+    calls = []
+    pinned = solver.solve_pinned
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return pinned(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "solve_pinned", counted)
+    with pytest.raises(BracketNotFound):
+        solve_mfe(prim, nz.coordinate(2), 0.5)
+    assert 1 <= len(calls) <= 4
 
 
 def test_etu_mean_psi_recovers_planted_fees():

@@ -476,7 +476,7 @@ def test_shift_keeps_the_dichotomy_of_criterion_04(tu_2x2_diag):
         widths = _widths(rep)
         assert len(widths) >= 20
         assert all(w1 == 0.5 * w0 for w0, w1 in zip(widths, widths[1:]))
-        assert rep.outer_solves <= 2
+        assert rep.outer_solves == 1
         assert abs(rep.normalization_value) <= SolverOptions().tol_bracket
 
 
