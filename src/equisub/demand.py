@@ -27,6 +27,10 @@ from .roots import bisect, expand_bracket
 from .solver import SolveReport, SolverOptions, solve_normalized
 from .system import Bounds, SubsolutionHints, SupplySystem
 
+XI_TOL = 1e-12  # bisection width of residual_xi without an exact g_inv
+REGULARITY_EPS = np.linspace(-2.0, 2.0, 9)  # shock grid of check_utility_regularity
+REGULARITY_TOL = 1e-8  # utility drop check_utility_regularity tolerates
+
 
 def demand_logit(delta: np.ndarray) -> np.ndarray:
     """Closed-form multinomial shares s_z proportional to exp(delta_z).
@@ -258,7 +262,6 @@ def build_demand_system(model: DemandModel) -> SupplySystem:
         subsolution_hints=hints,
         eval_batch=batch,
         sweep_solver=sweep,
-        label=model.label,
         translation_invariant=additive and model.bounds.is_unbounded,
     )
 
@@ -302,15 +305,13 @@ def invert_demand(
         else:
             opts = SolverOptions()
     system = build_demand_system(model)
-    rep = solve_normalized(system, s, norm, K, opts)
+    rep = solve_normalized(system, s, norm, K, opts, pin_guess=pin_guess)
     return InversionResult(delta=rep.p_star, shares=shares(model, rep.p_star), report=rep)
 
 
 def check_utility_regularity(
     model: DemandModel,
     delta_grid: Optional[np.ndarray] = None,
-    eps_grid: Optional[np.ndarray] = None,
-    tol: float = 1e-8,
 ) -> PropertyReport:
     """Finite-difference probes of the utility index.
 
@@ -330,15 +331,13 @@ def check_utility_regularity(
             [np.linspace(l, h, 7) for l, h in zip(np.maximum(lo, -3.0), np.minimum(hi, 3.0))],
             axis=1,
         )
-    if eps_grid is None:
-        eps_grid = np.linspace(-2.0, 2.0, 9)
 
     h = 1e-4
     count = 0
     bounded_above = True
     for drow in delta_grid:
         drow = np.asarray(drow, dtype=float)
-        for e in eps_grid:
+        for e in REGULARITY_EPS:
             E = np.full((1, Z), float(e))
             U0 = model.utilities(drow, E)[0]
             count += 1
@@ -349,13 +348,13 @@ def check_utility_regularity(
                 if dd[z] <= drow[z]:
                     continue
                 U1 = model.utilities(dd, E)[0]
-                if U1[z] < U0[z] - tol:
+                if U1[z] < U0[z] - REGULARITY_TOL:
                     rep.violations.append(
                         {"kind": "decreasing_in_quality", "good": z, "delta": drow.tolist(), "eps": float(e)}
                     )
             # own-shock monotonicity
             U_e = model.utilities(drow, E + h)[0]
-            if np.any(U_e < U0 - tol):
+            if np.any(U_e < U0 - REGULARITY_TOL):
                 bad = int(np.argmin(U_e - U0))
                 rep.violations.append(
                     {"kind": "decreasing_in_shock", "good": bad, "delta": drow.tolist(), "eps": float(e)}
@@ -384,7 +383,6 @@ class GFamily:
 
     g: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     g_inv: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
-    label: str = "custom"
 
 
 def linear_g() -> GFamily:
@@ -392,7 +390,6 @@ def linear_g() -> GFamily:
     return GFamily(
         g=lambda t, x2, th: t - th[0] * x2,
         g_inv=lambda d, x2, th: d + th[0] * x2,
-        label="linear",
     )
 
 
@@ -402,7 +399,6 @@ def residual_xi(
     x2: np.ndarray,
     gfam: GFamily,
     theta: np.ndarray,
-    tol: float = 1e-12,
 ) -> np.ndarray:
     """Structural residual xi_z = g^{-1}(delta_z, x2_z; theta) - x1_z."""
     delta = np.asarray(delta, dtype=float)
@@ -424,5 +420,5 @@ def residual_xi(
         _, hi = expand_bracket(section, zero, fx0=-np.inf, max_expansions=200)
     except NoBracket as exc:
         raise GNotInvertible(f"no bracket for data point {exc.coordinate}") from exc
-    lo, hi = bisect(section, lo, hi, tol)
+    lo, hi = bisect(section, lo, hi, XI_TOL)
     return 0.5 * (lo + hi) - x1

@@ -8,15 +8,19 @@ problems.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .errors import GridTooLarge
+from .solver import BOUND_MARGIN
 from .system import SupplySystem
 
 DEFAULT_BOX = 5.0
 PROBE_MAGNITUDES = (10.0, 20.0, 40.0)
+TOL = 1e-8  # an output must move past its reference by more than this
+TOL_STRICT = 1e-10  # the strict drop connected-strict substitutes needs
+BUMP = 0.5  # price step of the two substitutes checks
 
 
 @dataclass
@@ -42,8 +46,10 @@ class GridSpec:
         return np.arange(self.lows[i], self.highs[i] + 0.5 * self.step, self.step)
 
 
-def _sample_box(system: SupplySystem, rng: np.random.Generator, n: int, box=None) -> np.ndarray:
-    """Uniform draws over the user box intersected with the open bound box."""
+def _setup(name: str, system: SupplySystem, samples: int, seed: int, box):
+    """A check's empty report, its generator and its sample points: uniform
+    draws over the user box intersected with the open bound box."""
+    rng = np.random.default_rng(seed)
     if box is None:
         box = (-DEFAULT_BOX, DEFAULT_BOX)
     elif np.isscalar(box):
@@ -52,42 +58,66 @@ def _sample_box(system: SupplySystem, rng: np.random.Generator, n: int, box=None
     hi = np.broadcast_to(np.asarray(box[1], dtype=float), (system.dim,))
     lo = np.maximum(lo, np.where(np.isfinite(system.bounds.lower), system.bounds.lower + 1e-6, -np.inf))
     hi = np.minimum(hi, np.where(np.isfinite(system.bounds.upper), system.bounds.upper - 1e-6, np.inf))
-    return rng.uniform(lo, hi, size=(n, system.dim))
+    return PropertyReport(name, samples), rng, rng.uniform(lo, hi, size=(samples, system.dim))
 
 
-def _clip_inside(system: SupplySystem, p: np.ndarray) -> np.ndarray:
-    lo = np.where(np.isfinite(system.bounds.lower), system.bounds.lower + 1e-9, -np.inf)
-    hi = np.where(np.isfinite(system.bounds.upper), system.bounds.upper - 1e-9, np.inf)
-    return np.clip(p, lo, hi)
+def _subset(rng: np.random.Generator, dim: int):
+    """A random proper nonempty subset of the coordinates and its complement."""
+    X = rng.choice(dim, size=int(rng.integers(1, dim)), replace=False)
+    return X, np.setdiff1d(np.arange(dim), X)
+
+
+def _bump(system: SupplySystem, p: np.ndarray, idx) -> Optional[np.ndarray]:
+    """p with the prices idx raised by BUMP, kept below a finite upper bound;
+    None when none of them can rise."""
+    p2 = p.copy()
+    p2[idx] = np.minimum(p[idx] + BUMP, system.bounds.upper[idx] - BOUND_MARGIN)
+    return p2 if np.any(p2[idx] > p[idx]) else None
+
+
+def _ladder(system: SupplySystem, p: np.ndarray, pushed, read, target: float, sign: float):
+    """The probe ladder: for each T in PROBE_MAGNITUDES, set the prices
+    pushed to +T, then to -T (kept inside the open box), and compare the
+    output sum over read with target.  Returns [some +T push moved the sum
+    past target in the direction sign, some -T push moved it past in the
+    direction -sign]; stops once both hold."""
+    lo = system.bounds.lower[pushed] + BOUND_MARGIN
+    hi = system.bounds.upper[pushed] - BOUND_MARGIN
+    crossed = [False, False]
+    for T in PROBE_MAGNITUDES:
+        for k, d in enumerate((1.0, -1.0)):
+            p2 = p.copy()
+            p2[pushed] = np.clip(d * T, lo, hi)
+            s = d * sign  # +/-1: exactly total > target + TOL or total < target - TOL
+            if s * np.asarray(system.eval_fn(p2), dtype=float)[read].sum() > s * target + TOL:
+                crossed[k] = True
+        if all(crossed):
+            break
+    return crossed
 
 
 def check_weak_substitutes(
     system: SupplySystem,
     samples: int = 200,
     seed: int = 0,
-    tol: float = 1e-8,
-    bump: float = 0.5,
     box=None,
 ) -> PropertyReport:
     """Own coordinate nondecreasing, cross coordinates nonincreasing."""
-    rng = np.random.default_rng(seed)
-    rep = PropertyReport("weak_substitutes", samples)
-    pts = _sample_box(system, rng, samples, box)
+    rep, rng, pts = _setup("weak_substitutes", system, samples, seed, box)
     for p in pts:
         z = int(rng.integers(system.dim))
-        p2 = p.copy()
-        p2[z] = min(p[z] + bump, system.bounds.upper[z] - 1e-9)
-        if p2[z] <= p[z]:
+        p2 = _bump(system, p, z)
+        if p2 is None:
             continue
         q1 = np.asarray(system.eval_fn(p), dtype=float)
         q2 = np.asarray(system.eval_fn(p2), dtype=float)
-        if q2[z] < q1[z] - tol:
+        if q2[z] < q1[z] - TOL:
             rep.violations.append(
                 {"kind": "own_decreasing", "coordinate": z, "p": p.tolist(), "drop": float(q1[z] - q2[z])}
             )
         others = np.delete(np.arange(system.dim), z)
         rises = q2[others] - q1[others]
-        bad = others[rises > tol]
+        bad = others[rises > TOL]
         for y in bad:
             rep.violations.append(
                 {"kind": "cross_increasing", "coordinate": int(y), "moved": z, "p": p.tolist(), "rise": float(q2[y] - q1[y])}
@@ -100,37 +130,15 @@ def check_pivotal_substitutes(
     q: np.ndarray,
     samples: int = 50,
     seed: int = 0,
-    tol: float = 1e-8,
-    magnitudes: Sequence[float] = PROBE_MAGNITUDES,
     box=None,
 ) -> PropertyReport:
     """Pushing off-subset prices to either extreme moves the subset aggregate
     strictly past its target."""
-    rng = np.random.default_rng(seed)
     q = np.asarray(q, dtype=float)
-    rep = PropertyReport("pivotal_substitutes", samples)
-    pts = _sample_box(system, rng, samples, box)
+    rep, rng, pts = _setup("pivotal_substitutes", system, samples, seed, box)
     for p in pts:
-        size = int(rng.integers(1, system.dim))  # proper nonempty subset
-        X = rng.choice(system.dim, size=size, replace=False)
-        comp = np.setdiff1d(np.arange(system.dim), X)
-        target = q[X].sum()
-
-        below = False
-        above = False
-        for T in magnitudes:
-            hi_p = p.copy()
-            hi_p[comp] = T
-            hi_p = _clip_inside(system, hi_p)
-            if np.asarray(system.eval_fn(hi_p), dtype=float)[X].sum() < target - tol:
-                below = True
-            lo_p = p.copy()
-            lo_p[comp] = -T
-            lo_p = _clip_inside(system, lo_p)
-            if np.asarray(system.eval_fn(lo_p), dtype=float)[X].sum() > target + tol:
-                above = True
-            if below and above:
-                break
+        X, comp = _subset(rng, system.dim)
+        below, above = _ladder(system, p, comp, X, q[X].sum(), -1.0)
         if not (below and above):
             rep.violations.append(
                 {
@@ -148,40 +156,22 @@ def check_responsiveness(
     q: np.ndarray,
     samples: int = 50,
     seed: int = 0,
-    tol: float = 1e-8,
-    magnitudes: Sequence[float] = PROBE_MAGNITUDES,
     box=None,
 ) -> PropertyReport:
     """Each coordinate map crosses its target as its own price sweeps the
-    probe ladder; records the crossing bracket when found."""
-    rng = np.random.default_rng(seed)
+    probe ladder."""
     q = np.asarray(q, dtype=float)
-    rep = PropertyReport("responsiveness", samples)
-    pts = _sample_box(system, rng, samples, box)
+    rep, rng, pts = _setup("responsiveness", system, samples, seed, box)
     for p in pts:
         z = int(rng.integers(system.dim))
-        exceeded = None
-        undershot = None
-        for T in magnitudes:
-            up = p.copy()
-            up[z] = T
-            up = _clip_inside(system, up)
-            if np.asarray(system.eval_fn(up), dtype=float)[z] > q[z] + tol and exceeded is None:
-                exceeded = float(up[z])
-            dn = p.copy()
-            dn[z] = -T
-            dn = _clip_inside(system, dn)
-            if np.asarray(system.eval_fn(dn), dtype=float)[z] < q[z] - tol and undershot is None:
-                undershot = float(dn[z])
-            if exceeded is not None and undershot is not None:
-                break
-        if exceeded is None or undershot is None:
+        above, below = _ladder(system, p, z, z, q[z], 1.0)
+        if not (above and below):
             rep.violations.append(
                 {
                     "coordinate": z,
                     "p": p.tolist(),
-                    "crosses_above": exceeded is not None,
-                    "crosses_below": undershot is not None,
+                    "crosses_above": above,
+                    "crosses_below": below,
                 }
             )
         else:
@@ -193,8 +183,6 @@ def check_connected_strict_substitutes(
     system: SupplySystem,
     samples: int = 200,
     seed: int = 0,
-    tol_strict: float = 1e-10,
-    bump: float = 0.5,
     box=None,
 ) -> PropertyReport:
     """Raising all prices off a proper subset must strictly lower the subset
@@ -204,21 +192,15 @@ def check_connected_strict_substitutes(
     allowed to be zero (and are, e.g., within one side of a two-sided
     market), as long as the substitution graph leaves no subset isolated.
     """
-    rng = np.random.default_rng(seed)
-    rep = PropertyReport("connected_strict_substitutes", samples)
-    pts = _sample_box(system, rng, samples, box)
+    rep, rng, pts = _setup("connected_strict_substitutes", system, samples, seed, box)
     for p in pts:
-        size = int(rng.integers(1, system.dim))
-        X = rng.choice(system.dim, size=size, replace=False)
-        comp = np.setdiff1d(np.arange(system.dim), X)
-        # raise every off-subset coordinate together
-        p2 = p.copy()
-        p2[comp] = np.minimum(p[comp] + bump, system.bounds.upper[comp] - 1e-9)
-        if not np.any(p2[comp] > p[comp]):
+        X, comp = _subset(rng, system.dim)
+        p2 = _bump(system, p, comp)  # raise every off-subset coordinate together
+        if p2 is None:
             continue
         agg1 = np.asarray(system.eval_fn(p), dtype=float)[X].sum()
         agg2 = np.asarray(system.eval_fn(p2), dtype=float)[X].sum()
-        if not (agg2 < agg1 - tol_strict):
+        if not (agg2 < agg1 - TOL_STRICT):
             rep.violations.append(
                 {
                     "subset": [int(i) for i in X],

@@ -33,6 +33,11 @@ from .matching import (
 from .normalization import Normalization
 from .solver import SolverOptions
 
+MLE_GTOL = 1e-6  # gradient sup-norm at which mle_nested stops
+MLE_MAX_ITER = 500  # quasi-Newton iterations of mle_nested
+MPEC_TOL = 1e-10  # stationarity residual norm at which mpec_solve stops
+MPEC_MAX_ITER = 200  # damped Newton steps of mpec_solve
+
 
 # ----------------------------------------------------------------------
 # parameter specifications
@@ -314,8 +319,6 @@ def mle_nested(
     K: float,
     theta0: np.ndarray,
     opts: SolverOptions = SolverOptions(),
-    gtol: float = 1e-6,
-    max_iter: int = 500,
 ) -> MleResult:
     """Maximize the nested log-likelihood by quasi-Newton ascent.
 
@@ -340,7 +343,7 @@ def mle_nested(
         theta0,
         jac=True,
         method="BFGS",
-        options={"gtol": gtol, "maxiter": max_iter},
+        options={"gtol": MLE_GTOL, "maxiter": MLE_MAX_ITER},
     )
     theta_hat = np.atleast_1d(res.x)
     gnorm = float(np.max(np.abs(res.jac)))
@@ -367,7 +370,7 @@ def mle_nested(
             theta=theta_hat,
             value=-f_hat,
         )
-    if gnorm > 10 * gtol:
+    if gnorm > 10 * MLE_GTOL:
         raise OptimizerStalled(
             f"optimizer stopped with gradient norm {gnorm:.3e}",
             theta=theta_hat,
@@ -476,9 +479,6 @@ def mpec_solve(
     theta0: np.ndarray,
     a0: np.ndarray,
     b0: np.ndarray,
-    lam0: Optional[np.ndarray] = None,
-    tol: float = 1e-10,
-    max_iter: int = 200,
 ) -> MpecResult:
     """Damped Newton iteration on the stationarity system.
 
@@ -490,15 +490,12 @@ def mpec_solve(
     a = np.asarray(a0, dtype=float).copy()
     b = np.asarray(b0, dtype=float).copy()
     d, (X, Y) = spec.dim, spec.table_shape
-    if lam0 is None:
-        lam = solve_multiplier(spec, mu_hat, norm, K, theta, a, b)
-    else:
-        lam = np.asarray(lam0, dtype=float).copy()
+    lam = solve_multiplier(spec, mu_hat, norm, K, theta, a, b)
 
     Psi, J = mpec_residual(spec, mu_hat, norm, K, theta, a, b, lam)
     rnorm = float(np.linalg.norm(Psi))
-    for it in range(1, max_iter + 1):
-        if rnorm <= tol:
+    for it in range(1, MPEC_MAX_ITER + 1):
+        if rnorm <= MPEC_TOL:
             return MpecResult(theta, a, b, lam, rnorm, it - 1)
         step, *_ = np.linalg.lstsq(J, -Psi, rcond=None)
         damp = 1.0
@@ -519,10 +516,10 @@ def mpec_solve(
                 f"damped Newton made no progress at residual {rnorm:.3e}",
                 theta=theta,
             )
-    if rnorm <= tol:
-        return MpecResult(theta, a, b, lam, rnorm, max_iter)
+    if rnorm <= MPEC_TOL:
+        return MpecResult(theta, a, b, lam, rnorm, MPEC_MAX_ITER)
     raise OptimizerStalled(
-        f"stationarity residual {rnorm:.3e} after {max_iter} Newton steps",
+        f"stationarity residual {rnorm:.3e} after {MPEC_MAX_ITER} Newton steps",
         theta=theta,
     )
 

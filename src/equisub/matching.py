@@ -26,6 +26,8 @@ from .roots import bisect, expand_bracket
 from .solver import SolveReport, SolverOptions, solve_normalized
 from .system import Bounds, SubsolutionHints, SupplySystem
 
+FRONTIER_TOL = 1e-12  # bisection width of frontier_distance's d
+
 
 # ----------------------------------------------------------------------
 # transfer-distance families for imperfectly transferable utility
@@ -46,7 +48,6 @@ class DistanceFamily:
     duu: Optional[Callable] = None
     duv: Optional[Callable] = None
     dvv: Optional[Callable] = None
-    label: str = "custom"
 
     def grad_u(self, u, v):
         if self.du is not None:
@@ -76,7 +77,6 @@ DIST_AVERAGE = DistanceFamily(
     duu=lambda u, v: np.zeros_like(np.broadcast_arrays(u, v)[0], dtype=float),
     duv=lambda u, v: np.zeros_like(np.broadcast_arrays(u, v)[0], dtype=float),
     dvv=lambda u, v: np.zeros_like(np.broadcast_arrays(u, v)[0], dtype=float),
-    label="average",
 )
 
 
@@ -92,7 +92,6 @@ DIST_LOGMEAN = DistanceFamily(
     duu=lambda u, v: expit(u - v) * expit(v - u),
     duv=lambda u, v: -expit(u - v) * expit(v - u),
     dvv=lambda u, v: expit(u - v) * expit(v - u),
-    label="logmean",
 )
 
 
@@ -100,7 +99,6 @@ def frontier_distance(
     payoff_x: Callable[[np.ndarray], np.ndarray],
     payoff_y: Callable[[np.ndarray], np.ndarray],
     w_bracket: Tuple[float, float] = (1e-12, 1e12),
-    tol: float = 1e-12,
 ) -> DistanceFamily:
     """Distance family from a parametric feasibility frontier.
 
@@ -127,10 +125,10 @@ def frontier_distance(
         # walk down and up from t = 0 for the two ends of the bracket
         lo, _ = expand_bracket(h, np.zeros(u.shape), fx0=np.inf, closed=True)
         _, hi = expand_bracket(h, np.zeros(u.shape), fx0=-np.inf)
-        lo, hi = bisect(h, lo, hi, tol)
+        lo, hi = bisect(h, lo, hi, FRONTIER_TOL)
         return 0.5 * (lo + hi)
 
-    return DistanceFamily(d=d, label="frontier")
+    return DistanceFamily(d=d)
 
 
 # ----------------------------------------------------------------------
@@ -382,7 +380,6 @@ def build_mfe_system(prim: MarketPrimitives) -> Tuple[SupplySystem, np.ndarray]:
         subsolution_hints=SubsolutionHints(ordering=ordering, envelopes=envelopes),
         eval_batch=q_of_p,
         sweep_solver=sweep,
-        label=f"matching-{fam.kind}-{X}x{Y}",
         # log M depends on a + b only: shifting p = (-a, b) by t keeps it
         translation_invariant=fam.kind in ("TU", "NTU"),
     )

@@ -103,7 +103,6 @@ def build_subsolution(
     q: np.ndarray,
     pin: int,
     pin_value: float,
-    opts: SolverOptions = SolverOptions(),
 ) -> np.ndarray:
     """Construct p0 with p0[pin] = pin_value and Q(p0) <= q off the pin.
 
@@ -189,7 +188,7 @@ def solve_pinned(
     """
     q = np.asarray(q, dtype=float)
     if p0 is None:
-        p = build_subsolution(system, q, pin, pin_value, opts)
+        p = build_subsolution(system, q, pin, pin_value)
     else:
         p = np.asarray(p0, dtype=float).copy()
         p[pin] = pin_value

@@ -90,7 +90,6 @@ class SupplySystem:
     subsolution_hints: Optional[SubsolutionHints] = None
     eval_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
     sweep_solver: Optional[Callable[[np.ndarray, np.ndarray, int], np.ndarray]] = None
-    label: str = ""
     translation_invariant: bool = False
     # not a field: perfbench/tracing.py reads it when it wraps a system
     coordinate_solver = None

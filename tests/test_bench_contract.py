@@ -5,6 +5,7 @@ solver hooks from outside the library.  Its self-check ties the sweeps
 that SolveReport.iterations reports to the traced sweep_solver calls; a
 system attribute it reads going missing breaks every traced instance.
 """
+import json
 import sys
 from pathlib import Path
 
@@ -64,3 +65,24 @@ def test_tracer_counts_failed_sweeps_and_keeps_the_logit_closed_form():
     assert tracer.self_check() == []
     layer = tracer.per_layer(1.0)
     assert layer["solver.sweeps"] == layer["system.sweep_solver.calls"] > 0
+
+
+def test_tracer_counts_one_check_span_per_structure_check(tmp_path):
+    # diagnostics.check.calls sums the public check_* spans; the probes'
+    # shared helpers are private and must not add spans of their own
+    shares = tmp_path / "shares.csv"
+    shares.write_text("good,share\ng0,0.5\ng1,0.3\ng2,0.2\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "target": "demand",
+        "shares_csv": str(shares),
+        "model": {"family": "logit"},
+    }))
+    tracer = Tracer()
+    tracer.install()
+    try:
+        code = equisub.cli.main(["check", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert tracer.per_layer(1.0)["diagnostics.check.calls"] == 3

@@ -1,10 +1,12 @@
 """Structure probes: regular systems must pass, planted counterexamples
 must be flagged, and the grid reference solver must agree with closed
 forms."""
+import dataclasses
+
 import numpy as np
 import pytest
 
-from equisub.demand import build_demand_system, demand_logit, logit_model
+from equisub.demand import bridge_model, build_demand_system, demand_logit, demand_mc, logit_model
 from equisub.diagnostics import (
     GridSpec,
     brute_force_solve,
@@ -81,6 +83,49 @@ def test_decoupled_blocks_fail_connectedness():
 
     rep = check_connected_strict_substitutes(_plain_system(4, Q), samples=200)
     assert not rep.passed
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_decoupled_blocks_separate_pivotal_from_responsiveness(seed):
+    # both checks run one probe ladder on different sets: responsiveness
+    # pushes and reads one good, which each logit block answers; pivotal
+    # substitutes pushes the complement of a subset and reads the subset,
+    # which a block containing the whole subset ignores
+    def Q(p):
+        return np.concatenate([demand_logit(p[:2]), demand_logit(p[2:])])
+
+    system, q = _plain_system(4, Q), np.full(4, 0.5)
+    assert check_responsiveness(system, q, seed=seed).passed
+    rep = check_pivotal_substitutes(system, q, seed=seed)
+    assert not rep.passed
+    for v in rep.violations:
+        # every flagged subset is a union of whole blocks
+        assert {0, 1} <= set(v["subset"]) or {0, 1}.isdisjoint(v["subset"])
+        assert {2, 3} <= set(v["subset"]) or {2, 3}.isdisjoint(v["subset"])
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_probes_stay_inside_the_open_box(seed):
+    # bridge demand is defined on delta < 0 only; every bump and ladder push
+    # toward the bound must stop short of it
+    model = bridge_model(np.array([0.0, 0.5, 1.0, 1.5]), R=2000, seed=31)
+    system = build_demand_system(model)
+    q = demand_mc(model, np.array([-2.0, -1.4, -1.0, -0.7]))
+    points = []
+
+    def record(p):
+        points.append(np.array(p, dtype=float))
+        return system.eval_fn(p)
+
+    probed = dataclasses.replace(system, eval_fn=record)
+    check_weak_substitutes(probed, seed=seed)
+    check_pivotal_substitutes(probed, q, seed=seed)
+    check_responsiveness(probed, q, seed=seed)
+    check_connected_strict_substitutes(probed, seed=seed)
+    P = np.array(points)
+    assert len(P) > 0
+    assert np.all(P < 0.0)
+    assert np.max(P) > -1e-6  # some probe was held at the bound's margin
 
 
 def test_reports_never_raise_and_expose_counts():

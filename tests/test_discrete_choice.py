@@ -115,6 +115,16 @@ def test_invert_demand_logit_matches_closed_form():
     assert np.allclose(res.shares, s, atol=1e-8)
 
 
+def test_invert_demand_starts_the_dichotomy_at_pin_guess():
+    # the bracket search on the pinned value starts from pin_guess, so
+    # criterion 05's two starts (-3 and 4) search from different points
+    s = np.array([0.5, 0.3, 0.2])
+    res = invert_demand(logit_model(3), s, nz.mean(), 0.0, pin_guess=4.0)
+    lo, hi = res.report.bracket_history[0]
+    assert lo <= 4.0 <= hi
+    assert np.max(np.abs(res.delta - invert_logit(s, K=-np.mean(np.log(s / s[0]))))) <= 1e-8
+
+
 def test_invert_simulated_logit_round_trip():
     model = logit_mc_model(3, R=100_000, seed=21)
     delta0 = np.array([0.0, -0.6, 0.5])
@@ -272,7 +282,7 @@ def test_residual_xi_linear():
 
 def test_residual_xi_numeric_inverse_matches_analytic():
     # cubic link, strictly increasing in the index; no inverse supplied
-    gfam = GFamily(g=lambda t, x2, th: t + t**3 - th[0] * x2, label="cubic")
+    gfam = GFamily(g=lambda t, x2, th: t + t**3 - th[0] * x2)
     theta = np.array([0.8])
     rng = np.random.default_rng(6)
     t0 = rng.normal(size=5)
