@@ -272,10 +272,6 @@ class InversionResult:
     shares: np.ndarray
     report: SolveReport
 
-    @property
-    def residual(self) -> float:
-        return self.report.residual
-
 
 def invert_demand(
     model: DemandModel,

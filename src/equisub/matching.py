@@ -395,10 +395,6 @@ class MatchingEquilibrium:
     K: float
     report: SolveReport
 
-    @property
-    def residual(self) -> float:
-        return self.report.residual
-
 
 def solve_mfe(
     prim: MarketPrimitives,

@@ -29,7 +29,7 @@ from .system import SupplySystem, eval_supply
 
 # residual a sweep fixed point may keep per unit of ||q||_1 from rounding
 ROUNDING_FLOOR = 64 * np.finfo(float).eps
-BOUND_MARGIN = 1e-9      # sweep results and probes stay this far inside bounds
+BOUND_MARGIN = 1e-9      # sweep roots and probes lie this far inside bounds
 MAX_ITER_BRACKET = 200   # halvings of the dichotomy on the pinned value
 
 
@@ -176,15 +176,22 @@ def solve_pinned(
     """Jacobi iteration to Q(p) = q with p[pin] = pin_value fixed.
 
     Starts from a subsolution (built from hints unless p0 is supplied) and
-    iterates the system's sweep_solver, or bisection_sweep without one;
-    each sweep result is kept BOUND_MARGIN inside finite bounds.
-    Convergence requires both the sup-norm residual and the sup-norm step
-    to fall below tol_outer; a fixed point up to rounding (step 0, or a
-    sweep that returns the iterate before last) may keep a residual up to
-    tol_outer + ROUNDING_FLOOR * ||q||_1, and otherwise ends the solve
-    unconverged.  A NoBracket raised by a sweep carries the report of the
-    iterate that sweep started from, its iterations counting the failed
-    sweep.
+    iterates the system's sweep_solver, or bisection_sweep without one.
+    This is the only verdict on a pinned solve:
+
+    - away from a fixed point, convergence requires both the sup-norm
+      residual and the sup-norm step to fall below tol_outer;
+    - at a fixed point of the sweep up to rounding (step 0, or a sweep that
+      returns the iterate before last) the residual alone decides: up to
+      tol_outer + ROUNDING_FLOOR * ||q||_1 it is converged, above it the
+      solve ends unconverged (MaxIterExceeded);
+    - a sweep root of a free coordinate outside [lower + BOUND_MARGIN,
+      upper - BOUND_MARGIN] raises NoBracket naming that coordinate: no
+      pinned solution exists in the box at this pin.
+
+    A NoBracket, from a sweep or from its result, carries the report of
+    the iterate that sweep started from, its iterations counting the
+    failed sweep.
     """
     q = np.asarray(q, dtype=float)
     if p0 is None:
@@ -200,56 +207,57 @@ def solve_pinned(
     qval = eval_supply(system, p)
     p_prev = None  # the iterate before p
 
+    def report(it: int) -> SolveReport:
+        return SolveReport(
+            p_star=p,
+            residual=float(np.max(np.abs(qval - q))),
+            iterations=it,
+            monotone_certificate=monotone,
+        )
+
     for it in range(1, opts.max_iter_jacobi + 1):
         try:
-            p_new = np.minimum(np.maximum(sweep(q, p, pin), lo_in), hi_in)
+            p_new = np.array(sweep(q, p, pin), dtype=float)
+            p_new[pin] = pin_value
+            # a root outside the box is no root: the section keeps its sign
+            # up to the bound, as bisection_sweep's walk reports it
+            outside = (p_new < lo_in) | (p_new > hi_in)
+            outside[pin] = False
+            if outside.any():
+                z = int(np.flatnonzero(outside)[0])
+                raise NoBracket(
+                    f"sweep root {p_new[z]:.6g} of coordinate {z} lies outside its bounds",
+                    coordinate=z,
+                )
         except NoBracket as exc:
             # the failed sweep counts: report the iterate it started from
-            exc.report = SolveReport(
-                p_star=p,
-                residual=float(np.max(np.abs(qval - q))),
-                iterations=it,
-                monotone_certificate=monotone,
-            )
+            exc.report = report(it)
             raise
-        p_new[pin] = pin_value
         if np.any(p_new[free] < p[free] - 1e-12):
             monotone = False
         step = float(np.max(np.abs(p_new - p))) if free else 0.0
         qval = eval_supply(system, p_new)
-        residual = float(np.max(np.abs(qval - q)))
         # a fixed point of the sweep map up to rounding (step 0, or a
         # two-cycle in the last bits: count-sized TU targets flip p by one
-        # unit in the last place) can make no further progress.  Its
-        # residual may sit at the rounding floor of the targets, of order
-        # eps * ||q||_1 for count-sized q (the scaling eval_supply's balance
-        # guard allows), and then it is converged; otherwise (e.g. simulated
+        # unit in the last place) can make no further progress, so its
+        # residual alone decides.  It may sit at the rounding floor of the
+        # targets, of order eps * ||q||_1 for count-sized q (the scaling
+        # eval_supply's balance guard allows); above that (e.g. simulated
         # supply with finite resolution) stop now instead of spinning.
         at_fixed_point = step == 0.0 or (p_prev is not None and np.array_equal(p_new, p_prev))
         p_prev, p = p, p_new
-        tol = opts.tol_outer
+        residual = float(np.max(np.abs(qval - q)))
         if at_fixed_point:
-            tol += ROUNDING_FLOOR * np.abs(q).sum()
-        if residual <= tol and step <= opts.tol_outer:
-            return SolveReport(
-                p_star=p,
-                residual=residual,
-                iterations=it,
-                monotone_certificate=monotone,
-            )
-        if at_fixed_point:
+            if residual <= opts.tol_outer + ROUNDING_FLOOR * np.abs(q).sum():
+                return report(it)
             break
+        if residual <= opts.tol_outer and step <= opts.tol_outer:
+            return report(it)
 
-    report = SolveReport(
-        p_star=p,
-        residual=float(np.max(np.abs(qval - q))),
-        iterations=it,
-        monotone_certificate=monotone,
-    )
+    rep = report(it)
     raise MaxIterExceeded(
-        f"pinned solve did not converge in {it} sweeps "
-        f"(residual {report.residual:.3e})",
-        report=report,
+        f"pinned solve did not converge in {it} sweeps (residual {rep.residual:.3e})",
+        report=rep,
     )
 
 
@@ -264,10 +272,12 @@ def solve_normalized(
     """Solve Q(p) = q subject to psi(p) = K.
 
     Every pin value is reached through one pin search, phi: one pinned
-    solve warm-started from the last solved pin.  When that solve fails no
-    pinned solution exists at the pin, and phi signs psi +/-inf by the side
-    of the solved range the pin lies on.  Before any pin has solved, a
-    failed cold solve names its side of the window of cold-solvable pins
+    solve warm-started from the last solved pin, judged by solve_pinned
+    alone.  When that solve raises NoBracket (a sweep root leaves the box)
+    or EnvelopeNotDownwardResponsive, no pinned solution exists at the pin,
+    and phi signs psi +/-inf by the side of the solved range the pin lies
+    on; a MaxIterExceeded propagates.  Before any pin has solved, a failed
+    cold solve names its side of the window of cold-solvable pins
     (EnvelopeNotDownwardResponsive below, NoBracket above); a one-way walk
     from the pin, then a bisection on the failure side, finds the first
     anchor or raises BracketNotFound, and the pin is tried once more.
@@ -304,14 +314,21 @@ def solve_normalized(
     warm: Optional[SolveReport] = None  # last real pinned solution
     feas_hi = -np.inf
 
-    def solve_at(g: float, use: SolverOptions) -> SolveReport:
+    def solve_at(g: float, use: SolverOptions) -> Tuple[Optional[SolveReport], float]:
+        # (report, 0) for the pinned solution at g, or (None, side) when it
+        # fails: side -1 below the window of cold-solvable pins (no
+        # subsolution can be built), +1 above it (a sweep root leaves the box)
         nonlocal solves, warm, feas_hi
         p0 = None if warm is None else warm.p_star
         if system.translation_invariant:
             if warm is not None:
                 # Q(p + t*1) = Q(p): the solved point shifted to pin g is the
                 # pinned solution at g up to rounding, which the re-measured
-                # residual checks; otherwise it warm-starts
+                # residual checks; otherwise it warm-starts.  The check keeps
+                # no ROUNDING_FLOOR allowance: with it, a count-sized shift
+                # is kept at the rounding floor instead of being re-solved,
+                # and criterion 11's count-scale MLE stalls (OptimizerStalled
+                # at gradient norm 2.4e-3)
                 p0 = warm.p_star + (g - warm.p_star[pin])
                 p0[pin] = g
                 residual = float(np.max(np.abs(eval_supply(system, p0) - q)))
@@ -322,37 +339,27 @@ def solve_normalized(
                         residual=residual,
                         iterations=warm.iterations,
                         monotone_certificate=warm.monotone_certificate,
-                    )
+                    ), 0.0
             # later pins shift this solution: solve it tightly, so that psi
             # does not move when the tight probes begin
             use = tight_opts
         solves += 1
         try:
             rep = solve_pinned(system, q, pin, g, use, p0=p0)
-        except MaxIterExceeded as exc:
-            # the step criterion can stall on nearly-flat sections even when
-            # the residual is already far below the requested tolerance; the
-            # iterate is then a perfectly good solution of Q(p) = q
-            if exc.report is None or exc.report.residual > opts.tol_outer:
-                raise
-            rep = exc.report
+        except NoBracket:
+            return None, 1.0
+        except EnvelopeNotDownwardResponsive:
+            return None, -1.0
         warm = rep
         feas_hi = max(feas_hi, g)
-        return rep
+        return rep, 0.0
 
     def anchor(g: float, side: float) -> None:
         # label is -1 below the window, +1 above it and 0 once any pin has
         # solved: the first solved pin stops the walk, and the bisection
         # makes no further solves
         def label(t) -> float:
-            if warm is None:
-                try:
-                    solve_at(float(t), opts)
-                except NoBracket:
-                    return 1.0
-                except EnvelopeNotDownwardResponsive:
-                    return -1.0
-            return 0.0
+            return solve_at(float(t), opts)[1] if warm is None else 0.0
 
         try:
             lo, hi = _walk(label, g, system, pin, fx0=side, closed=True)
@@ -373,13 +380,12 @@ def solve_normalized(
         # the bisection direction correct.
         use = tight_opts if tight else opts
         for _ in range(2):
-            try:
-                rep = solve_at(g, use)
+            rep, side = solve_at(g, use)
+            if rep is not None:
                 return norm(rep.p_star), rep
-            except (NoBracket, EnvelopeNotDownwardResponsive) as exc:
-                if warm is not None:
-                    break
-                anchor(g, 1.0 if isinstance(exc, NoBracket) else -1.0)
+            if warm is not None:
+                break
+            anchor(g, side)
         return (np.inf if g > feas_hi else -np.inf), None
 
     # pinning the same coordinate the normalization reads makes the outer

@@ -74,9 +74,10 @@ class SupplySystem:
       array of their outputs, row by row as eval_fn would;
     - sweep_solver(q, p, pin) returns the whole Jacobi sweep at p: every
       free coordinate's left root of Q_z(t, p_{-z}) = q[z] given the
-      others (the caller resets the pinned entry and keeps the result
-      inside the bounds).  Without one, the pinned solver sweeps by
-      bracketing and bisection (solver.bisection_sweep);
+      others.  The caller resets the pinned entry, and a root outside
+      the box makes the pinned solve raise NoBracket; the sweep need not
+      keep its result inside the bounds.  Without one, the pinned solver
+      sweeps by bracketing and bisection (solver.bisection_sweep);
     - translation_invariant: Q(p + t*1) = Q(p) for all t, and the box is
       unbounded, so a pinned solution at one pin value shifted by a
       constant is the pinned solution at another.  Builders set it for

@@ -104,6 +104,47 @@ def test_match_envelope_failure_is_solver_failure(tmp_path, monkeypatch):
     assert main(["match", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
 
 
+def write_split_market(tmp_path, alpha, gamma):
+    rows = [(x, y, alpha[x][y], gamma[x][y]) for x in range(len(alpha)) for y in range(len(alpha[0]))]
+    return write_csv(tmp_path / "market.csv", ["x", "y", "alpha", "gamma"], rows)
+
+
+@pytest.mark.parametrize("kind", ["TU", "NTU", "ETU"])
+def test_match_reads_alpha_gamma_columns(tmp_path, kind):
+    # the planted ETU 2x2 mean-psi market of test_matching, given as alpha
+    # and gamma columns; TU and NTU solve the same tables at its masses
+    rng = np.random.default_rng(0)
+    alpha, gamma = rng.normal(0.0, 0.5, (2, 2, 2))
+    a_star, b_star = rng.normal(0.0, 0.25, (2, 2))
+    mu = matching.etu_family(alpha, gamma).match(a_star, b_star)
+    n, m = mu.sum(axis=1), mu.sum(axis=0)
+    K = float(np.mean(np.r_[-a_star, b_star]))
+    cfg = write_json(tmp_path / "cfg.json", {
+        "market_csv": write_split_market(tmp_path, alpha.tolist(), gamma.tolist()),
+        "masses_csv": write_masses(tmp_path, n.tolist(), m.tolist()),
+        "family": {"kind": kind},
+        "normalization": {"kind": "mean"},
+        "K": K,
+    })
+    out = tmp_path / "out"
+    assert main(["match", "--config", cfg, "--out", str(out)]) == 0
+    with open(out / "equilibrium.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    mu_out = np.array([float(r["mu"]) for r in rows]).reshape(2, 2)
+    assert np.abs(mu_out.sum(axis=1) - n).max() <= 1e-9
+    assert np.abs(mu_out.sum(axis=0) - m).max() <= 1e-9
+    rep = read_report(out)
+    assert rep["family"] == kind
+    assert abs(rep["normalization_value"] - K) <= 1e-9
+    # NTU has no alpha / gamma split, so no transfer column
+    assert ("w" in rows[0]) == (kind != "NTU")
+    if kind == "TU":
+        fam = matching.tu_family(alpha=alpha, gamma=gamma)
+        eq = matching.solve_mfe(matching.MarketPrimitives(fam, n, m), nz.mean(), K)
+        w = np.array([float(r["w"]) for r in rows]).reshape(2, 2)
+        assert np.array_equal(w, matching.recover_transfers(fam, eq))
+
+
 # ----------------------------------------------------------------------
 # invert
 

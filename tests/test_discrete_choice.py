@@ -146,6 +146,19 @@ def test_invert_bridge_round_trip():
     assert np.max(np.abs(res.delta - delta0)) <= 2e-3
 
 
+def test_invert_bridge_mean_psi_round_trip():
+    # mean psi starts from pin 0, the bridge's bound: there a sweep root
+    # leaves the box delta < 0, and the pin search walks down from it
+    R = 2000
+    model = bridge_model(np.array([0.0, 0.5, 1.0, 1.5]), R=R, seed=5)
+    delta0 = np.array([-2.0, -1.4, -1.0, -0.7])
+    s = demand_mc(model, delta0)
+    res = invert_demand(model, s, nz.mean(), delta0.mean())
+    # simulated shares are multiples of 1/R: count the draws the fit misses
+    assert np.rint(np.max(np.abs(res.shares - s)) * R) <= 10
+    assert abs(res.delta.mean() - delta0.mean()) <= 10.0 / R
+
+
 @pytest.mark.parametrize(
     "model",
     [
@@ -166,7 +179,7 @@ def test_mc_sweep_equals_per_good_order_statistic(model):
     hi_in = model.bounds.upper - BOUND_MARGIN
     # negative qualities near the bridge's tested range, where every route
     # keeps some consumers; a switch point at or above 0 leaves the bridge's
-    # range and is compared after the clip
+    # range, so both sides are compared clipped into the box
     center = np.array([-2.0, -1.4, -1.0, -0.7])
     rng = np.random.default_rng(6)
     checked = 0

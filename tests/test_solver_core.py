@@ -36,11 +36,13 @@ from equisub.system import Bounds, SubsolutionHints, SupplySystem, eval_supply
 from equisub.demand import (
     bridge_model,
     build_demand_system,
+    demand_logit,
     logit_mc_model,
     logit_model,
     pure_characteristics_model,
     rc_logit_model,
 )
+from equisub.estimation import ThetaSpec
 from equisub.matching import (
     DIST_LOGMEAN,
     MarketPrimitives,
@@ -251,10 +253,10 @@ def test_solve_pinned_matches_grid_reference(tu_2x2_diag):
     assert np.max(np.abs(rep.p_star - ref)) <= 1e-3
 
 
-def test_solve_pinned_stops_at_a_rounding_cycle():
+def _tu_count_sized_cycle():
     # count-sized TU targets: from this point the closed-form sweep cycles
     # by one unit in the last place of p, with the residual at the rounding
-    # floor of q; it must end as converged, not spin to max_iter_jacobi
+    # floor of q
     prim = MarketPrimitives(
         family=tu_family(phi=np.zeros((2, 2))),
         n=np.array([500410.0, 499590.0]),
@@ -262,10 +264,48 @@ def test_solve_pinned_stops_at_a_rounding_cycle():
     )
     system, q = build_mfe_system(prim)
     p0 = np.array([-12.430853301234087, -12.427573300498931, 12.424993962049484, 12.433433974574761])
-    opts = SolverOptions(tol_outer=1e-13, max_iter_jacobi=2000)
-    rep = solve_pinned(system, q, 2, 12.424993962049484, opts, p0=p0)
-    assert rep.iterations < 100
+    return system, q, 12.424993962049484, p0, SolverOptions(tol_outer=1e-13, max_iter_jacobi=2000)
+
+
+def _etu_gradient_cycle():
+    # a pinned solve of the ETU likelihood-gradient test: the Newton sweep
+    # reaches a fixed point whose step exceeds tol_outer while its residual
+    # is already below it
+    basis = np.array([[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]])
+    fam = ThetaSpec(kind="ETU", alpha0=np.zeros((2, 2)), alpha_basis=basis).family(np.array([0.25, 0.1]))
+    q = np.array([-4.000000000000077, -3.999999999999922, 3.999999999999769, 4.00000000000023])
+    system, _ = build_mfe_system(MarketPrimitives(family=fam, n=-q[:2], m=q[2:]))
+    p0 = np.array([-0.2829316919101304, -0.28293169191047307, 1.0, 0.999999999992707])
+    return system, q, 0.0, p0, SolverOptions(tol_outer=1e-11, max_iter_jacobi=2000)
+
+
+@pytest.mark.parametrize(
+    "case, max_sweeps", [(_tu_count_sized_cycle, 99), (_etu_gradient_cycle, 101)], ids=["TU", "ETU"]
+)
+def test_solve_pinned_stops_at_a_rounding_cycle(case, max_sweeps):
+    # a fixed point of the sweep can make no further progress: its residual
+    # alone decides, and within the rounding floor it ends as converged, not
+    # spinning to max_iter_jacobi or stopping unconverged on its step
+    system, q, pin_value, p0, opts = case()
+    rep = solve_pinned(system, q, 2, pin_value, opts, p0=p0)
+    assert rep.iterations <= max_sweeps
     assert rep.residual <= opts.tol_outer + ROUNDING_FLOOR * np.abs(q).sum()
+
+
+def test_solve_pinned_names_a_sweep_root_outside_the_box():
+    # logit shares on the box delta < 0: with good 0 pinned at -1, good 1's
+    # root -1 + log 4 lies above the bound, so no pinned solution exists
+    system = SupplySystem(
+        dim=2,
+        eval_fn=demand_logit,
+        bounds=Bounds(np.full(2, -np.inf), np.zeros(2)),
+        balance_constant=1.0,
+        sweep_solver=lambda q, p, pin: p[pin] + np.log(q) - np.log(q[pin]),
+    )
+    with pytest.raises(NoBracket) as info:
+        solve_pinned(system, np.array([0.2, 0.8]), 0, -1.0, p0=np.array([-1.0, -5.0]))
+    assert info.value.coordinate == 1
+    assert info.value.report.iterations == 1
 
 
 def test_jacobi_iterates_monotone_from_cold_start(tu_2x2_diag, logit3):
