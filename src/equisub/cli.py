@@ -154,19 +154,13 @@ def _read_masses_csv(path, xs, ys):
 
 def _family_from_config(cfg, phi, alpha, gamma):
     kind = cfg["kind"].upper()
-    if kind == "TU":
-        if alpha is not None:
-            return mt.tu_family(alpha=alpha, gamma=gamma)
-        return mt.tu_family(phi=phi)
-    if kind == "NTU":
-        if phi is None:
-            phi = alpha + gamma
-        return mt.ntu_family(phi)
+    if kind not in ("TU", "NTU", "ETU"):
+        raise ConfigError(f"unsupported family kind {cfg['kind']!r}")
+    if alpha is not None:
+        return mt.MatchingFamily(kind=kind, alpha=alpha, gamma=gamma)
     if kind == "ETU":
-        if alpha is None:
-            raise ConfigError("ETU needs alpha and gamma columns")
-        return mt.etu_family(alpha, gamma)
-    raise ConfigError(f"unsupported family kind {cfg['kind']!r}")
+        raise ConfigError("ETU needs alpha and gamma columns")
+    return mt.tu_family(phi=phi) if kind == "TU" else mt.ntu_family(phi)
 
 
 def cmd_match(cfg, out_dir, args):
@@ -179,9 +173,7 @@ def cmd_match(cfg, out_dir, args):
     opts = _opts_from_config(cfg)
     eq = mt.solve_mfe(prim, norm, K, opts)
 
-    transfers = None
-    if fam.kind != "NTU" and fam.alpha is not None:
-        transfers = mt.recover_transfers(fam, eq)
+    transfers = mt.recover_transfers(fam, eq) if fam.transfers else None
 
     with open(Path(out_dir) / "equilibrium.csv", "w", newline="") as fh:
         writer = csv.writer(fh)

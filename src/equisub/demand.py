@@ -9,7 +9,7 @@ is deterministic and weakly monotone in delta.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -281,27 +281,24 @@ def invert_demand(
     opts: Optional[SolverOptions] = None,
     pin_guess: float = 0.0,
 ) -> InversionResult:
-    """Recover qualities from shares under psi(delta) = K."""
+    """Recover qualities from shares under psi(delta) = K.
+
+    Simulated shares move in steps of about 1/R, below which no re-solve
+    can refine: for a simulated model opts defaults to tolerances of 10/R,
+    and refinement is off (refine_factor 1.0) whatever opts is given.
+    """
     s = np.asarray(s, dtype=float)
     if s.shape != (model.dim,):
         raise DimensionMismatch("share vector has the wrong length")
     if np.any(s <= 0) or abs(s.sum() - 1.0) > 1e-8:
         raise DimensionMismatch("shares must be strictly positive and sum to one")
-    if opts is None:
-        if model.closed_form is None:
-            # simulated shares move in jumps of about 1/R
-            R = model.draws.shape[0]
-            tol = max(10.0 / R, 1e-9)
-            opts = SolverOptions(
-                tol_outer=tol,
-                tol_inner=max(1e-10, 1e-2 * tol),
-                tol_bracket=tol,
-                refine_factor=1.0,
-            )
-        else:
-            opts = SolverOptions()
+    if model.closed_form is None:
+        if opts is None:
+            tol = max(10.0 / model.draws.shape[0], 1e-9)
+            opts = SolverOptions(tol_outer=tol, tol_inner=max(1e-10, 1e-2 * tol), tol_bracket=tol)
+        opts = replace(opts, refine_factor=1.0)
     system = build_demand_system(model)
-    rep = solve_normalized(system, s, norm, K, opts, pin_guess=pin_guess)
+    rep = solve_normalized(system, s, norm, K, opts or SolverOptions(), pin_guess=pin_guess)
     return InversionResult(delta=rep.p_star, shares=shares(model, rep.p_star), report=rep)
 
 

@@ -8,8 +8,8 @@ where mu solves the accounting and normalization constraints at theta.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import InitVar, dataclass, field
+from typing import List, Optional, Tuple
 
 import numpy as np
 from scipy import optimize
@@ -27,7 +27,6 @@ from .matching import (
     MarketPrimitives,
     MatchingEquilibrium,
     MatchingFamily,
-    ntu_family,
     solve_mfe,
 )
 from .normalization import Normalization
@@ -47,40 +46,38 @@ MPEC_MAX_ITER = 200  # damped Newton steps of mpec_solve
 class ThetaSpec:
     """Linear-in-parameters map theta -> matching family.
 
-    For transfer families the preference tables are
-    alpha(theta) = alpha0 + sum_k theta_k * alpha_basis[k] (gamma alike).
-    For NTU the surplus table is phi(theta) = phi0 + sum_k theta_k * phi_basis[k].
+    The preference tables are alpha(theta) = alpha0 + sum_k theta_k *
+    alpha_basis[k] (gamma alike).  A surplus table phi(theta) = phi0 + sum_k
+    theta_k * phi_basis[k] (the usual NTU spec) is the split alpha = phi,
+    gamma = 0: phi0 and phi_basis stand for alpha0 and alpha_basis.
     """
 
     kind: str
     alpha0: Optional[np.ndarray] = None
     gamma0: Optional[np.ndarray] = None
-    phi0: Optional[np.ndarray] = None
+    phi0: InitVar[Optional[np.ndarray]] = None
     alpha_basis: Optional[np.ndarray] = None  # (d, X, Y)
     gamma_basis: Optional[np.ndarray] = None
-    phi_basis: Optional[np.ndarray] = None
+    phi_basis: InitVar[Optional[np.ndarray]] = None
     distance: Optional[DistanceFamily] = None
 
-    def __post_init__(self):
+    def __post_init__(self, phi0, phi_basis):
         def table(t, shape):
             return np.asarray(t, dtype=float) if t is not None else np.zeros(shape)
 
-        if self.kind == "NTU":
-            phi0 = np.asarray(self.phi0, dtype=float)
-            object.__setattr__(self, "phi0", phi0)
-            object.__setattr__(self, "phi_basis", table(self.phi_basis, (0,) + phi0.shape))
-            return
+        alpha0 = self.alpha0 if phi0 is None else phi0
+        alpha_basis = self.alpha_basis if phi_basis is None else phi_basis
         # the last given table fixes the shape (else the last basis), and the
         # last given basis fixes d
-        tables = [np.shape(t) for t in (self.alpha0, self.gamma0) if t is not None]
-        bases = [np.shape(t) for t in (self.alpha_basis, self.gamma_basis) if t is not None]
+        tables = [np.shape(t) for t in (alpha0, self.gamma0) if t is not None]
+        bases = [np.shape(t) for t in (alpha_basis, self.gamma_basis) if t is not None]
         if not tables and not bases:
             raise DimensionMismatch("cannot infer the table shape")
         shape = tables[-1] if tables else bases[-1][1:]
         d = bases[-1][0] if bases else 0
-        alpha0 = table(self.alpha0, shape)
+        alpha0 = table(alpha0, shape)
         gamma0 = table(self.gamma0, shape)
-        ab = table(self.alpha_basis, (d,) + alpha0.shape)
+        ab = table(alpha_basis, (d,) + alpha0.shape)
         gb = table(self.gamma_basis, (d,) + gamma0.shape)
         if ab.shape != gb.shape:
             raise DimensionMismatch("alpha and gamma bases must share a shape")
@@ -89,21 +86,14 @@ class ThetaSpec:
 
     @property
     def dim(self) -> int:
-        if self.kind == "NTU":
-            return self.phi_basis.shape[0]
         return self.alpha_basis.shape[0]
 
     @property
     def table_shape(self) -> Tuple[int, int]:
-        if self.kind == "NTU":
-            return self.phi0.shape
         return self.alpha0.shape
 
     def family(self, theta: np.ndarray) -> MatchingFamily:
         theta = np.asarray(theta, dtype=float)
-        if self.kind == "NTU":
-            phi = self.phi0 + np.tensordot(theta, self.phi_basis, axes=1)
-            return ntu_family(phi)
         alpha = self.alpha0 + np.tensordot(theta, self.alpha_basis, axes=1)
         gamma = self.gamma0 + np.tensordot(theta, self.gamma_basis, axes=1)
         return MatchingFamily(kind=self.kind, alpha=alpha, gamma=gamma, distance=self.distance)
@@ -115,7 +105,7 @@ def tu_surplus_spec(phi0: np.ndarray, basis: np.ndarray) -> ThetaSpec:
     The split alpha = phi, gamma = 0 is immaterial for TU equilibrium
     objects, which depend on the tables only through their sum.
     """
-    return ThetaSpec(kind="TU", alpha0=np.asarray(phi0, dtype=float), alpha_basis=np.asarray(basis, dtype=float))
+    return ThetaSpec(kind="TU", phi0=phi0, phi_basis=basis)
 
 
 # ----------------------------------------------------------------------
@@ -124,8 +114,8 @@ def tu_surplus_spec(phi0: np.ndarray, basis: np.ndarray) -> ThetaSpec:
 # Cell (x, y) has log M = -d(u, v) with u = -a_x - alpha_xy, v = -b_y -
 # gamma_xy and alpha, gamma affine in theta, so it depends only on its own
 # d + 2 variables (theta, a_x, b_y), and the chain rule gives its gradient
-# and Hessian from the derivatives of d.  NTU is the case d_u = d_v = 1
-# with zero curvature and bases (phi_basis, 0).  Global derivatives in
+# and Hessian from the derivatives of d (for NTU, DIST_SUM's d_u = d_v = 1
+# with zero curvature and bases (phi_basis, 0)).  Global derivatives in
 # (theta, a, b) are scatter-adds of these per-cell blocks, and the nested
 # gradient is one adjoint solve with the saddle-point multipliers.
 
@@ -141,22 +131,16 @@ def _cell_blocks(spec: ThetaSpec, theta: np.ndarray, a: np.ndarray, b: np.ndarra
     X, Y = spec.table_shape
     fam = spec.family(np.atleast_1d(theta))
     m = fam.log_match(a, b)
-    if spec.kind == "NTU":
-        A, G = spec.phi_basis, np.zeros_like(spec.phi_basis)
-        Dd = np.ones((X, Y, 2))
-        D2d = np.zeros((X, Y, 2, 2))
-    else:
-        A, G = spec.alpha_basis, spec.gamma_basis
-        u = -a[:, None] - fam.alpha
-        v = -b[None, :] - fam.gamma
-        dist = fam.distance
-        Dd = np.stack([np.broadcast_to(t, (X, Y)) for t in (dist.grad_u(u, v), dist.grad_v(u, v))], -1)
-        duu, duv, dvv = dist.hess(u, v)
-        D2d = np.stack([np.broadcast_to(t, (X, Y)) for t in (duu, duv, duv, dvv)], -1).reshape(X, Y, 2, 2)
+    u = -a[:, None] - fam.alpha
+    v = -b[None, :] - fam.gamma
+    dist = fam.distance
+    Dd = np.stack([np.broadcast_to(t, (X, Y)) for t in (dist.grad_u(u, v), dist.grad_v(u, v))], -1)
+    duu, duv, dvv = dist.hess(u, v)
+    D2d = np.stack([np.broadcast_to(t, (X, Y)) for t in (duu, duv, duv, dvv)], -1).reshape(X, Y, 2, 2)
 
     # P[x, y, i] is the gradient of (u, v)[i] in the cell's own variables
     P = np.zeros((X, Y, 2, d + 2))
-    P[:, :, :, :d] = -np.moveaxis(np.stack([A, G]), (2, 3), (0, 1))
+    P[:, :, :, :d] = -np.moveaxis(np.stack([spec.alpha_basis, spec.gamma_basis]), (2, 3), (0, 1))
     P[:, :, 0, d] = P[:, :, 1, d + 1] = -1.0
     g = -np.einsum("xyi,xyik->xyk", Dd, P)
     H = -np.einsum("xyik,xyij,xyjl->xykl", P, D2d, P) if hessian else None

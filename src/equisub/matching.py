@@ -9,7 +9,7 @@ The market maps to a balanced system via p = (-a, b), q = (-n, m), c = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Optional, Sequence, Tuple
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import expit, logsumexp
@@ -30,15 +30,16 @@ FRONTIER_TOL = 1e-12  # bisection width of frontier_distance's d
 
 
 # ----------------------------------------------------------------------
-# transfer-distance families for imperfectly transferable utility
+# distance maps: log M = -d(-a - alpha, -b - gamma)
 
 
 @dataclass(frozen=True)
 class DistanceFamily:
-    """Scalar map d(u, v) with d(u + t, v + t) = d(u, v) + t.
+    """Scalar map d(u, v) of a pair of post-match payoffs; log M = -d.
 
-    d measures how far a pair of post-match payoffs sits from the (shifted)
-    feasible frontier; derivatives are used by the estimation layer and fall
+    A transfer family's d measures how far the pair sits from the (shifted)
+    feasible frontier, so d(u + t, v + t) = d(u, v) + t; NTU's DIST_SUM has
+    + 2t instead.  Derivatives are used by the estimation layer and fall
     back to central differences when not supplied.
     """
 
@@ -70,14 +71,16 @@ class DistanceFamily:
         return duu, duv, dvv
 
 
-DIST_AVERAGE = DistanceFamily(
-    d=lambda u, v: 0.5 * (u + v),
-    du=lambda u, v: 0.5 * np.ones_like(np.broadcast_arrays(u, v)[0], dtype=float),
-    dv=lambda u, v: 0.5 * np.ones_like(np.broadcast_arrays(u, v)[0], dtype=float),
-    duu=lambda u, v: np.zeros_like(np.broadcast_arrays(u, v)[0], dtype=float),
-    duv=lambda u, v: np.zeros_like(np.broadcast_arrays(u, v)[0], dtype=float),
-    dvv=lambda u, v: np.zeros_like(np.broadcast_arrays(u, v)[0], dtype=float),
-)
+def _linear(s: float) -> DistanceFamily:
+    # d(u, v) = s(u + v): constant first and zero second derivatives
+    def const(c):
+        return lambda u, v: np.full(np.broadcast(u, v).shape, c)
+
+    return DistanceFamily(lambda u, v: s * (u + v), const(s), const(s), const(0.0), const(0.0), const(0.0))
+
+
+DIST_AVERAGE = _linear(0.5)
+DIST_SUM = _linear(1.0)
 
 
 def _d_logmean(u, v):
@@ -135,64 +138,78 @@ def frontier_distance(
 # matching function families
 
 
+class _Kind(NamedTuple):
+    distance: Optional[DistanceFamily]  # None: each family brings its own
+    log_linear: Optional[float]  # s of log M = s((a + alpha) + (b + gamma))
+    transfers: bool  # False: only phi = alpha + gamma is read
+
+
+# the one map from kind names to behaviour.  A log-linear kind's d is
+# s(u + v), so log M = s((a + alpha) + (b + gamma)) reads the tables only
+# through phi and is translation-invariant in p = (-a, b)
+_KINDS = {
+    "TU": _Kind(DIST_AVERAGE, 0.5, True),
+    "NTU": _Kind(DIST_SUM, 1.0, False),
+    "ETU": _Kind(DIST_LOGMEAN, None, True),
+    "ITU": _Kind(None, None, True),
+}
+
+
 @dataclass(frozen=True)
 class MatchingFamily:
-    """Pairwise matching functions M_xy(a, b) in log form.
+    """Pairwise matching functions M_xy(a, b) = exp(-d(-a - alpha, -b - gamma)).
 
-    kind is one of "TU", "NTU", "ITU", "ETU".  TU/ITU/ETU evaluate
-    exp(-d(-a - alpha, -b - gamma)) with the family's distance map; NTU is
-    exp(phi + a + b) and has no transfer structure.
+    Every kind ("TU", "NTU", "ITU", "ETU") is preference tables (alpha,
+    gamma) and a distance map d that the kind fixes (ITU brings its own).
+    TU and NTU are log-linear: M = exp(s (phi + a + b)), s = 1/2 and 1, with
+    phi = alpha + gamma.  transfers is False when alpha and gamma do not
+    split a transferable surplus (NTU, stored as alpha = phi, gamma = 0, and
+    TU built from phi alone); recover_transfers refuses such a family.
     """
 
     kind: str
-    alpha: Optional[np.ndarray] = None
-    gamma: Optional[np.ndarray] = None
-    phi: Optional[np.ndarray] = None
+    alpha: np.ndarray
+    gamma: np.ndarray
     distance: Optional[DistanceFamily] = None
+    transfers: bool = True
 
     def __post_init__(self):
-        if self.kind not in ("TU", "NTU", "ITU", "ETU"):
+        if self.kind not in _KINDS:
             raise DimensionMismatch(f"unknown family kind {self.kind!r}")
-        if self.kind == "NTU":
-            if self.phi is None:
-                raise DimensionMismatch("NTU family needs a joint surplus table phi")
-            object.__setattr__(self, "phi", np.asarray(self.phi, dtype=float))
-            return
-        if self.kind == "TU" and self.alpha is None and self.gamma is None:
-            # surplus-only TU family: fine for equilibrium, lacks transfers
-            if self.phi is None:
-                raise DimensionMismatch("TU family needs phi or an alpha / gamma split")
-            object.__setattr__(self, "phi", np.asarray(self.phi, dtype=float))
-            object.__setattr__(self, "distance", DIST_AVERAGE)
-            return
-        if self.alpha is None or self.gamma is None:
-            raise DimensionMismatch(f"{self.kind} family needs alpha and gamma tables")
+        traits = _KINDS[self.kind]
         alpha = np.asarray(self.alpha, dtype=float)
         gamma = np.asarray(self.gamma, dtype=float)
-        if alpha.shape != gamma.shape:
-            raise DimensionMismatch("alpha and gamma tables must share a shape")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "phi", alpha + gamma)
-        if self.kind == "TU":
-            object.__setattr__(self, "distance", DIST_AVERAGE)
-        elif self.kind == "ETU":
-            object.__setattr__(self, "distance", DIST_LOGMEAN)
-        elif self.distance is None:
+        if alpha.ndim != 2 or alpha.shape != gamma.shape:
+            raise DimensionMismatch(f"{self.kind} family needs alpha and gamma tables of one shape")
+        if not traits.transfers:
+            alpha, gamma = alpha + gamma, np.zeros_like(alpha)
+        distance = traits.distance or self.distance
+        if distance is None:
             raise DimensionMismatch("ITU family needs an explicit distance map")
+        for name, value in (("alpha", alpha), ("gamma", gamma), ("distance", distance)):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "transfers", self.transfers and traits.transfers)
 
     @property
     def shape(self) -> Tuple[int, int]:
-        return self.phi.shape
+        return self.alpha.shape
+
+    @property
+    def phi(self) -> np.ndarray:
+        return self.alpha + self.gamma
+
+    @property
+    def log_linear(self) -> Optional[float]:
+        """s when log M = s((a + alpha) + (b + gamma)), else None."""
+        return _KINDS[self.kind].log_linear
 
     def log_match(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """log M_xy for fee vectors a (..., X) and b (..., Y): (..., X, Y)."""
         a = np.asarray(a, dtype=float)[..., :, None]
         b = np.asarray(b, dtype=float)[..., None, :]
-        if self.kind == "NTU":
-            return self.phi + a + b
-        if self.alpha is None:  # surplus-only TU
-            return 0.5 * (self.phi + a + b)
+        s = self.log_linear
+        if s is not None:
+            return s * ((a + self.alpha) + (b + self.gamma))
         return -self.distance.d(-a - self.alpha, -b - self.gamma)
 
     def match(self, a, b) -> np.ndarray:
@@ -205,18 +222,19 @@ class MatchingFamily:
 def tu_family(alpha=None, gamma=None, phi=None) -> MatchingFamily:
     """Perfectly transferable surplus: M = exp((phi + a + b) / 2).
 
-    phi alone gives a family usable for equilibrium but without the alpha /
-    gamma split needed by recover_transfers (the split convenes alpha=phi,
-    gamma=0 is NOT assumed; pass both tables when transfers matter).
+    Given alpha and gamma, recover_transfers splits the surplus between
+    them.  Given phi alone, the tables are alpha = phi, gamma = 0 and the
+    family has transfers=False: equilibrium reads only phi, but transfers
+    need the true split, so pass both tables when transfers matter.
     """
-    if alpha is None or gamma is None:
-        return MatchingFamily(kind="TU", phi=phi)
-    return MatchingFamily(kind="TU", alpha=alpha, gamma=gamma)
+    if alpha is not None and gamma is not None:
+        return MatchingFamily(kind="TU", alpha=alpha, gamma=gamma)
+    return MatchingFamily(kind="TU", alpha=phi, gamma=np.zeros_like(phi, dtype=float), transfers=False)
 
 
 def ntu_family(phi) -> MatchingFamily:
     """Nontransferable utility: M = exp(phi + a + b)."""
-    return MatchingFamily(kind="NTU", phi=phi)
+    return MatchingFamily(kind="NTU", alpha=phi, gamma=np.zeros_like(phi, dtype=float))
 
 
 def etu_family(alpha, gamma) -> MatchingFamily:
@@ -341,13 +359,11 @@ def build_mfe_system(prim: MarketPrimitives) -> Tuple[SupplySystem, np.ndarray]:
     pin = X  # first Y-side coordinate
     ordering = (pin,) + tuple(range(X)) + tuple(range(X + 1, dim))
 
-    tables = {k: getattr(fam, k) for k in ("alpha", "gamma", "phi") if getattr(fam, k) is not None}
-
     def envelope(rows: slice, j: int, sign: float):
         # matches of the table block (rows, column j) alone, read off the
         # family restricted to that block; for row x and the pinned column
         # j = 0 they already exhaust n_x
-        block = replace(fam, **{k: t[rows, j : j + 1] for k, t in tables.items()})
+        block = replace(fam, alpha=fam.alpha[rows, j : j + 1], gamma=fam.gamma[rows, j : j + 1])
 
         def env(p):
             return sign * float(np.exp(block.log_match(-p[:X][rows], p[X + j : X + j + 1])).sum())
@@ -358,8 +374,8 @@ def build_mfe_system(prim: MarketPrimitives) -> Tuple[SupplySystem, np.ndarray]:
         envelope(slice(None), j, 1.0) for j in range(1, Y)
     )
 
-    if fam.kind in ("TU", "NTU"):
-        scale = 0.5 if fam.kind == "TU" else 1.0
+    scale = fam.log_linear
+    if scale is not None:
         phi = fam.phi
 
         def sweep(q, p, pin):
@@ -381,7 +397,7 @@ def build_mfe_system(prim: MarketPrimitives) -> Tuple[SupplySystem, np.ndarray]:
         eval_batch=q_of_p,
         sweep_solver=sweep,
         # log M depends on a + b only: shifting p = (-a, b) by t keeps it
-        translation_invariant=fam.kind in ("TU", "NTU"),
+        translation_invariant=scale is not None,
     )
     q = np.concatenate([-prim.n, prim.m])
     return system, q
@@ -448,7 +464,7 @@ def comparative_statics_K(
 
 def recover_transfers(family: MatchingFamily, eq: MatchingEquilibrium) -> np.ndarray:
     """Equilibrium transfer table w_xy = b_y + gamma_xy - a_x - alpha_xy."""
-    if family.kind == "NTU" or family.alpha is None or family.gamma is None:
+    if not family.transfers:
         raise FamilyLacksTransfers(
             "transfers need a family with an explicit alpha / gamma split"
         )

@@ -11,7 +11,7 @@ on a translation-invariant system its probes shift one pinned solution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -273,11 +273,12 @@ def solve_normalized(
 
     Every pin value is reached through one pin search, phi: one pinned
     solve warm-started from the last solved pin, judged by solve_pinned
-    alone.  When that solve raises NoBracket (a sweep root leaves the box)
-    or EnvelopeNotDownwardResponsive, no pinned solution exists at the pin,
-    and phi signs psi +/-inf by the side of the solved range the pin lies
-    on; a MaxIterExceeded propagates.  Before any pin has solved, a failed
-    cold solve names its side of the window of cold-solvable pins
+    alone and only once (a solved pin is reused unless asked for a tighter
+    tol_outer).  When that solve raises NoBracket (a sweep root leaves the
+    box) or EnvelopeNotDownwardResponsive, no pinned solution exists at the
+    pin, and phi signs psi +/-inf by the side of the solved range the pin
+    lies on; a MaxIterExceeded propagates.  Before any pin has solved, a
+    failed cold solve names its side of the window of cold-solvable pins
     (EnvelopeNotDownwardResponsive below, NoBracket above); a one-way walk
     from the pin, then a bisection on the failure side, finds the first
     anchor or raises BracketNotFound, and the pin is tried once more.
@@ -313,12 +314,19 @@ def solve_normalized(
     solves = 0  # real pinned solves; shifts do not count
     warm: Optional[SolveReport] = None  # last real pinned solution
     feas_hi = -np.inf
+    # one verdict per pin, reused if it met the requested tol_outer: (report,
+    # its tol_outer), or (None, -inf) after a NoBracket, which no start point
+    # changes (a cold EnvelopeNotDownwardResponsive is none: a warm start may)
+    verdicts: Dict[float, Tuple[Optional[SolveReport], float]] = {}
 
     def solve_at(g: float, use: SolverOptions) -> Tuple[Optional[SolveReport], float]:
         # (report, 0) for the pinned solution at g, or (None, side) when it
         # fails: side -1 below the window of cold-solvable pins (no
         # subsolution can be built), +1 above it (a sweep root leaves the box)
         nonlocal solves, warm, feas_hi
+        known, tol = verdicts.get(g, (None, np.inf))
+        if tol <= use.tol_outer:
+            return (known, 0.0) if known is not None else (None, 1.0)
         p0 = None if warm is None else warm.p_star
         if system.translation_invariant:
             if warm is not None:
@@ -347,11 +355,13 @@ def solve_normalized(
         try:
             rep = solve_pinned(system, q, pin, g, use, p0=p0)
         except NoBracket:
+            verdicts[g] = (None, -np.inf)
             return None, 1.0
         except EnvelopeNotDownwardResponsive:
             return None, -1.0
         warm = rep
         feas_hi = max(feas_hi, g)
+        verdicts[g] = (rep, use.tol_outer)
         return rep, 0.0
 
     def anchor(g: float, side: float) -> None:

@@ -58,9 +58,12 @@ def test_match_symmetric_market(tmp_path):
     out = tmp_path / "out"
     assert main(["match", "--config", cfg, "--out", str(out)]) == 0
     with open(out / "equilibrium.csv") as fh:
-        mu = [float(r["mu"]) for r in csv.DictReader(fh)]
+        reader = csv.DictReader(fh)
+        mu = [float(r["mu"]) for r in reader]
     assert len(mu) == 4
     assert np.allclose(mu, 0.5, atol=1e-7)
+    # a phi column gives no alpha / gamma split, hence no transfers
+    assert "w" not in reader.fieldnames
     rep = read_report(out)
     assert rep["schema_version"] == 1
     assert rep["residual"] <= 1e-8
@@ -194,22 +197,27 @@ def test_invert_simulated_mean_psi_reports_the_solve_block(tmp_path):
     R, K = 2000, 0.3
     model = logit_mc_model(4, R, seed=5)
     s = demand_mc(model, np.array([0.0, -0.3, 0.2, 0.4]))
-    cfg = invert_config(
-        tmp_path,
-        s.tolist(),
-        model={"family": "logit-mc", "R": R, "seed": 5},
-        normalization={"kind": "mean"},
-        K=K,
-    )
-    out = tmp_path / "out"
-    assert main(["invert", "--config", cfg, "--out", str(out)]) == 0
-    rep = read_report(out)
-    # simulated shares: tol_outer = tol_bracket = 10 / R
+    # simulated shares: tol_outer = tol_bracket = 10 / R by default, and the
+    # same tolerances given in the config must solve the same way (no
+    # refinement below the 1 / R resolution of the shares)
     tol_bracket = 10.0 / R
-    assert rep["residual"] <= tol_bracket
-    assert rep["iterations"] >= 1
-    assert 1 <= rep["outer_solves"] <= 2
-    assert abs(rep["normalization_value"] - K) <= tol_bracket
+    tolerances = {"outer": tol_bracket, "inner": 1e-2 * tol_bracket, "bracket": tol_bracket}
+    for extra in ({}, {"tolerances": tolerances}):
+        cfg = invert_config(
+            tmp_path,
+            s.tolist(),
+            model={"family": "logit-mc", "R": R, "seed": 5},
+            normalization={"kind": "mean"},
+            K=K,
+            **extra,
+        )
+        out = tmp_path / "out"
+        assert main(["invert", "--config", cfg, "--out", str(out)]) == 0
+        rep = read_report(out)
+        assert rep["residual"] <= tol_bracket
+        assert rep["iterations"] >= 1
+        assert 1 <= rep["outer_solves"] <= 2
+        assert abs(rep["normalization_value"] - K) <= tol_bracket
 
 
 @pytest.mark.parametrize("command", ["match", "invert"])

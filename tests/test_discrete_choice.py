@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from equisub import normalization as nz
+from equisub import solver
 from equisub.demand import (
     DemandModel,
     GFamily,
@@ -146,17 +147,27 @@ def test_invert_bridge_round_trip():
     assert np.max(np.abs(res.delta - delta0)) <= 2e-3
 
 
-def test_invert_bridge_mean_psi_round_trip():
+def test_invert_bridge_mean_psi_round_trip(monkeypatch):
     # mean psi starts from pin 0, the bridge's bound: there a sweep root
     # leaves the box delta < 0, and the pin search walks down from it
     R = 2000
     model = bridge_model(np.array([0.0, 0.5, 1.0, 1.5]), R=R, seed=5)
     delta0 = np.array([-2.0, -1.4, -1.0, -0.7])
     s = demand_mc(model, delta0)
+    pins = []
+    pinned = solver.solve_pinned
+
+    def counted(system, q, pin, pin_value, *args, **kwargs):
+        pins.append(pin_value)
+        return pinned(system, q, pin, pin_value, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "solve_pinned", counted)
     res = invert_demand(model, s, nz.mean(), delta0.mean())
     # simulated shares are multiples of 1/R: count the draws the fit misses
     assert np.rint(np.max(np.abs(res.shares - s)) * R) <= 10
     assert abs(res.delta.mean() - delta0.mean()) <= 10.0 / R
+    # the walks pass pins 0, -1 and -3 more than once: each is judged once
+    assert len(pins) == len(set(pins))
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ from equisub.errors import BalanceViolated, BracketNotFound, FamilyLacksTransfer
 from equisub.matching import (
     DIST_AVERAGE,
     DIST_LOGMEAN,
+    DIST_SUM,
     DistanceFamily,
     MarketPrimitives,
     _d_logmean,
@@ -82,6 +83,14 @@ def test_log_match_batch_rows_equal_single_calls():
         assert batch.shape == (4, 3, 2)
         for a, b, row in zip(A, B, batch):
             assert np.array_equal(row, fam.log_match(a, b))
+    # the log-linear families, written out: the arithmetic is pinned bit
+    # for bit, so that storing phi as (alpha, gamma) = (phi, 0) changes no
+    # value
+    a, b, phi = A[:, :, None], B[:, None, :], alpha + gamma
+    split_tu, phi_tu, ntu = (fam.log_match(A, B) for fam in families[:3])
+    assert np.array_equal(ntu, phi + a + b)
+    assert np.array_equal(phi_tu, 0.5 * (phi + a + b))
+    assert np.array_equal(split_tu, 0.5 * ((a + alpha) + (b + gamma)))
 
 
 def test_mfe_envelopes_equal_whole_table_values():
@@ -114,10 +123,11 @@ def test_mfe_envelopes_equal_whole_table_values():
 @given(u=finite, v=finite, t=finite)
 @settings(max_examples=200, deadline=None)
 def test_distance_translation_property(u, v, t):
-    # d(u + t, v + t) = d(u, v) + t for both shipped distance maps
-    for dist in (DIST_AVERAGE, DIST_LOGMEAN):
+    # d(u + t, v + t) = d(u, v) + t for both transfer distance maps, and
+    # + 2t for NTU's sum
+    for dist, k in ((DIST_AVERAGE, 1.0), (DIST_LOGMEAN, 1.0), (DIST_SUM, 2.0)):
         lhs = dist.d(u + t, v + t)
-        rhs = dist.d(u, v) + t
+        rhs = dist.d(u, v) + k * t
         assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(rhs))
 
 
