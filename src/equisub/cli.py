@@ -318,7 +318,8 @@ def cmd_estimate(cfg, out_dir, args):
         y = np.array([r[4] for r in data])
         model = _model_from_config(cfg.get("model", {}), s.size, args.seed)
         gfam = dm.linear_g()
-        result = est.gmm_nested(model, s, x1, x2, y, gfam, norm, K, theta0)
+        opts = _opts_from_config(cfg) if "tolerances" in cfg else None
+        result = est.gmm_nested(model, s, x1, x2, y, gfam, norm, K, theta0, opts=opts)
         _write_report(
             out_dir,
             "report.json",

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import expit, logsumexp
+from scipy.special import expit
 
 from .errors import (
     BalanceViolated,
@@ -27,6 +27,8 @@ from .solver import SolveReport, SolverOptions, solve_normalized
 from .system import Bounds, SubsolutionHints, SupplySystem
 
 FRONTIER_TOL = 1e-12  # bisection width of frontier_distance's d
+IPFP_MAX_STEPS = 10_000  # steps of one log-linear sweep; at the cap it
+                         # returns its last iterate for solve_pinned to judge
 
 
 # ----------------------------------------------------------------------
@@ -337,6 +339,55 @@ def _itu_sweep(fam: MatchingFamily, X: int, Y: int):
     return sweep
 
 
+def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
+    # scipy.special.logsumexp takes about 0.3 ms a call on a 5x5 table
+    # (2-CPU x86 VM), which was most of the time of a small TU solve
+    top = x.max(axis=axis, keepdims=True)
+    return np.log(np.exp(x - top).sum(axis=axis)) + np.squeeze(top, axis)
+
+
+def _ipfp_sweep(fam: MatchingFamily, X: int):
+    """Sweep of a log-linear family (TU, NTU) that jumps to the pinned solution.
+
+    Each step is one IPFP round: every row's closed-form root given b, then
+    every column's (the pinned one too) given the new a, then a shift that
+    gives the pin back its value; Q reads a + b only, so the shift keeps
+    the accounting sums.  A step is measured by the pair (largest max - min
+    of the change over the row and the column block, sup-norm of the
+    change), and the steps run until neither part shrinks.  The sweep then
+    returns the iterate the previous step started from, so that a sweep
+    from its own output retraces the same last two steps and returns that
+    output unchanged: solve_pinned sees step 0 and judges the residual.
+    """
+    s, phi = fam.log_linear, fam.phi
+
+    def sweep(q, p, pin):
+        g = p[pin]
+        log_n, log_m = np.log(-q[:X]), np.log(q[X:])
+
+        def step(x):
+            a = (log_n - _logsumexp(s * (phi + x[None, X:]), axis=1)) / s
+            b = (log_m - _logsumexp(s * (phi + a[:, None]), axis=0)) / s
+            nxt = np.concatenate([-a, b])
+            nxt += g - nxt[pin]
+            nxt[pin] = g
+            return nxt
+
+        # steps go on while either part shrinks: max - min alone reads 0 on
+        # a one-entry block, so a 1x1 market would get its input back
+        before, cur, last = None, p, None
+        for _ in range(IPFP_MAX_STEPS):
+            nxt = step(cur)
+            d = nxt - cur
+            size = (max(np.ptp(d[:X]), np.ptp(d[X:])), np.max(np.abs(d)))
+            if last is not None and size[0] >= last[0] and size[1] >= last[1]:
+                return before
+            before, cur, last = cur, nxt, size
+        return cur
+
+    return sweep
+
+
 def build_mfe_system(prim: MarketPrimitives) -> Tuple[SupplySystem, np.ndarray]:
     """Reformulate the market as a balanced system Q(p) = q, c = 0.
 
@@ -375,18 +426,7 @@ def build_mfe_system(prim: MarketPrimitives) -> Tuple[SupplySystem, np.ndarray]:
     )
 
     scale = fam.log_linear
-    if scale is not None:
-        phi = fam.phi
-
-        def sweep(q, p, pin):
-            # closed-form roots of every accounting equation at the current p
-            a, b = -p[:X], p[X:]
-            a_new = (np.log(-q[:X]) - logsumexp(scale * (phi + b[None, :]), axis=1)) / scale
-            b_new = (np.log(q[X:]) - logsumexp(scale * (phi + a[:, None]), axis=0)) / scale
-            return np.concatenate([-a_new, b_new])
-
-    else:
-        sweep = _itu_sweep(fam, X, Y)
+    sweep = _itu_sweep(fam, X, Y) if scale is None else _ipfp_sweep(fam, X)
 
     system = SupplySystem(
         dim=dim,

@@ -1,12 +1,14 @@
 """Pinned and normalized solvers for balanced systems with substitutes.
 
-solve_pinned fixes one coordinate and iterates a Jacobi sweep (every free
-coordinate's scalar equation solved given the others: the system's
-sweep_solver, else bisection_sweep) from a point where the system lies
-weakly below its targets; under gross substitutability the iterates
-increase monotonically to the pinned solution.  solve_normalized wraps
-the pinned solver in a bisection on the pinned value to meet psi(p) = K;
-on a translation-invariant system its probes shift one pinned solution.
+solve_pinned fixes one coordinate and iterates a sweep from a point where
+the system lies weakly below its targets: the system's sweep_solver, which
+reaches at least the Jacobi sweep (every free coordinate's scalar equation
+solved given the others) and at most the pinned solution, else
+bisection_sweep, the Jacobi sweep itself.  Under gross substitutability
+the iterates increase monotonically to the pinned solution.
+solve_normalized wraps the pinned solver in a bisection on the pinned
+value to meet psi(p) = K; on a translation-invariant system its probes
+shift one pinned solution.
 """
 from __future__ import annotations
 
@@ -173,10 +175,12 @@ def solve_pinned(
     opts: SolverOptions = SolverOptions(),
     p0: Optional[np.ndarray] = None,
 ) -> SolveReport:
-    """Jacobi iteration to Q(p) = q with p[pin] = pin_value fixed.
+    """Monotone sweep iteration to Q(p) = q with p[pin] = pin_value fixed.
 
     Starts from a subsolution (built from hints unless p0 is supplied) and
-    iterates the system's sweep_solver, or bisection_sweep without one.
+    iterates the system's sweep_solver, or the Jacobi bisection_sweep
+    without one; a sweep that jumps to the pinned solution ends the solve
+    at the second sweep, which returns the same point.
     This is the only verdict on a pinned solve:
 
     - away from a fixed point, convergence requires both the sup-norm
@@ -238,12 +242,13 @@ def solve_pinned(
         step = float(np.max(np.abs(p_new - p))) if free else 0.0
         qval = eval_supply(system, p_new)
         # a fixed point of the sweep map up to rounding (step 0, or a
-        # two-cycle in the last bits: count-sized TU targets flip p by one
-        # unit in the last place) can make no further progress, so its
-        # residual alone decides.  It may sit at the rounding floor of the
-        # targets, of order eps * ||q||_1 for count-sized q (the scaling
-        # eval_supply's balance guard allows); above that (e.g. simulated
-        # supply with finite resolution) stop now instead of spinning.
+        # two-cycle in the last bits: a Jacobi sweep at count-sized targets
+        # can flip p by one unit in the last place) can make no further
+        # progress, so its residual alone decides.  It may sit at the
+        # rounding floor of the targets, of order eps * ||q||_1 for
+        # count-sized q (the scaling eval_supply's balance guard allows);
+        # above that (e.g. simulated supply with finite resolution) stop now
+        # instead of spinning.
         at_fixed_point = step == 0.0 or (p_prev is not None and np.array_equal(p_new, p_prev))
         p_prev, p = p, p_new
         residual = float(np.max(np.abs(qval - q)))

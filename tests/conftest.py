@@ -1,6 +1,7 @@
 """Shared fixtures: small closed-form systems used across the test suite."""
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from equisub.demand import build_demand_system, logit_model
 from equisub.matching import MarketPrimitives, build_mfe_system, tu_family
@@ -37,6 +38,20 @@ def tu_2x2_symmetric():
     )
     system, q = build_mfe_system(prim)
     return prim, system, q
+
+
+def jacobi_log_linear_sweep(fam, X):
+    """Reference sweep of a TU/NTU family: the closed-form root of every
+    accounting equation at p, each given the others (one Jacobi sweep)."""
+    s, phi = fam.log_linear, fam.phi
+
+    def sweep(q, p, pin):
+        a, b = -p[:X], p[X:]
+        a_new = (np.log(-q[:X]) - logsumexp(s * (phi + b[None, :]), axis=1)) / s
+        b_new = (np.log(q[X:]) - logsumexp(s * (phi + a[:, None]), axis=0)) / s
+        return np.concatenate([-a_new, b_new])
+
+    return sweep
 
 
 def staged_grid_solve(system, q, pin, pin_value, lo=-5.0, hi=5.0,

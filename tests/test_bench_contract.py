@@ -33,6 +33,11 @@ def test_tracer_counts_every_sweep_through_sweep_solver():
         alpha, gamma = rng.normal(0.0, 0.25, size=(2, 2, 2))
         etu = matching.MarketPrimitives(family=matching.etu_family(alpha, gamma), n=np.ones(2), m=np.ones(2))
         matching.solve_mfe(etu, nz.coordinate(2), 0.0)  # coordinate psi on the pin
+        # match-tu's coordinate slot: the log-linear sweep iterates inside
+        # itself, and its inner steps are not sweeps
+        alpha, gamma = rng.normal(0.0, 0.25, size=(2, 5, 5))
+        tu5 = matching.MarketPrimitives(family=matching.tu_family(alpha, gamma), n=np.ones(5), m=np.ones(5))
+        assert matching.solve_mfe(tu5, nz.coordinate(5), 0.0).report.iterations <= 2
         model = demand.logit_mc_model(4, R=2000, seed=1)
         s = demand.demand_mc(model, np.array([0.0, -0.3, 0.2, 0.4]))
         demand.invert_demand(model, s, nz.coordinate(0), 0.0)

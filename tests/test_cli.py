@@ -7,10 +7,12 @@ import pytest
 
 from equisub import matching
 from equisub import normalization as nz
+from equisub import solver
 from equisub.cli import main
 from equisub.demand import demand_mc, invert_demand, logit_mc_model, logit_model
 from equisub.errors import EnvelopeNotDownwardResponsive
 from equisub.estimation import predicted_frequencies, tu_surplus_spec
+from equisub.solver import SolverOptions
 
 LN2 = np.log(2.0)
 
@@ -282,8 +284,8 @@ def test_estimate_flat_likelihood_is_solver_failure(tmp_path):
     assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
 
 
-def test_estimate_gmm_noiseless(tmp_path):
-    theta0 = 1.5
+def gmm_config(tmp_path, theta0, **extra):
+    # noiseless logit data: delta = x1 - theta0 * x2
     rng = np.random.default_rng(23)
     Z = 30
     x2 = rng.uniform(0.5, 2.0, size=Z)
@@ -295,7 +297,7 @@ def test_estimate_gmm_noiseless(tmp_path):
         (f"g{i}", s[i], x1[i], x2[i], y[i])
         for i in range(Z)
     ]
-    cfg = write_json(tmp_path / "cfg.json", {
+    return write_json(tmp_path / "cfg.json", {
         "mode": "gmm",
         "data_csv": write_csv(
             tmp_path / "data.csv", ["good", "share", "x1", "x2", "y"], rows
@@ -304,12 +306,34 @@ def test_estimate_gmm_noiseless(tmp_path):
         "normalization": {"kind": "mean"},
         "K": float(np.mean(delta)),
         "theta0": [0.0],
+        **extra,
     })
+
+
+def test_estimate_gmm_noiseless(tmp_path):
+    theta0 = 1.5
+    cfg = gmm_config(tmp_path, theta0)
     out = tmp_path / "out"
     assert main(["estimate", "--config", cfg, "--out", str(out)]) == 0
     rep = read_report(out)
     assert abs(rep["theta"][0] - theta0) <= 1e-6
     assert np.max(np.abs(rep["moments"])) <= 1e-6
+
+
+def test_estimate_gmm_follows_the_tolerances_block(tmp_path, monkeypatch):
+    # every pinned solve of the demand inversion runs at the configured
+    # tol_outer, refined at most by the default refine_factor
+    tols = []
+    pinned = solver.solve_pinned
+
+    def recorded(system, q, pin, pin_value, opts, *args, **kwargs):
+        tols.append(opts.tol_outer)
+        return pinned(system, q, pin, pin_value, opts, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "solve_pinned", recorded)
+    cfg = gmm_config(tmp_path, 1.5, tolerances={"outer": 1e-3, "inner": 1e-5, "bracket": 1e-3})
+    assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert tols and min(tols) >= 1e-3 * SolverOptions().refine_factor
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,6 @@
 """Matching families, equilibrium fees, transfers, and identification."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,7 +32,7 @@ from equisub.matching import (
 )
 from equisub.solver import SolverOptions
 
-from conftest import LN2, staged_grid_solve
+from conftest import LN2, jacobi_log_linear_sweep, staged_grid_solve
 
 finite = st.floats(min_value=-20.0, max_value=20.0, allow_nan=False)
 
@@ -170,6 +172,80 @@ def test_mfe_system_balances_everywhere(tu_2x2_diag):
     for p in rng.uniform(-3.0, 3.0, size=(50, system.dim)):
         assert abs(np.sum(system.eval_fn(p))) <= 1e-10
     assert np.sum(q) == pytest.approx(0.0, abs=1e-12)
+
+
+# ----------------------------------------------------------------------
+# the log-linear (TU, NTU) sweep
+
+
+LOG_LINEAR_MARKETS = pytest.mark.parametrize(
+    "kind, X, Y, scale",
+    [
+        (kind, X, Y, scale)
+        for kind in ("TU", "NTU")
+        for X, Y in ((1, 1), (2, 3), (10, 10), (50, 50))
+        for scale in (1.0, 100.0)  # unit and count-scale masses
+    ],
+)
+
+
+def _log_linear_market(kind, X, Y, scale):
+    rng = np.random.default_rng(X * Y)
+    phi = rng.normal(0.0, 0.5, (X, Y))
+    fam = tu_family(phi=phi) if kind == "TU" else ntu_family(phi)
+    n, m = rng.uniform(0.5, 1.5, X), rng.uniform(0.5, 1.5, Y)
+    prim = MarketPrimitives(family=fam, n=scale * n, m=scale * m * n.sum() / m.sum())
+    system, q = build_mfe_system(prim)
+    return fam, system, q, system.subsolution_hints.ordering[0], rng
+
+
+@LOG_LINEAR_MARKETS
+def test_log_linear_sweep_returns_its_own_output(kind, X, Y, scale):
+    _, system, q, pin, rng = _log_linear_market(kind, X, Y, scale)
+    for p in (solver.build_subsolution(system, q, pin, 0.0), rng.normal(0.0, 1.0, X + Y)):
+        once = system.sweep_solver(q, p, pin)
+        assert np.array_equal(system.sweep_solver(q, once, pin), once)
+
+
+@LOG_LINEAR_MARKETS
+def test_log_linear_sweep_matches_the_jacobi_pinned_solution(kind, X, Y, scale):
+    fam, system, q, pin, _ = _log_linear_market(kind, X, Y, scale)
+    reference = replace(system, sweep_solver=jacobi_log_linear_sweep(fam, X))
+    ref = solver.solve_pinned(reference, q, pin, 0.0, SolverOptions(tol_outer=1e-14, max_iter_jacobi=100_000))
+    rep = solver.solve_pinned(system, q, pin, 0.0)
+    assert np.max(np.abs(rep.p_star - ref.p_star)) <= 1e-12
+
+
+@LOG_LINEAR_MARKETS
+def test_log_linear_cold_pinned_solve_is_certified_in_two_sweeps(kind, X, Y, scale):
+    # the first sweep jumps from the subsolution to the pinned solution,
+    # which dominates it; the second returns the same point
+    _, system, q, pin, _ = _log_linear_market(kind, X, Y, scale)
+    rep = solver.solve_pinned(system, q, pin, 0.0)
+    assert rep.monotone_certificate
+    assert rep.iterations <= 2
+
+
+def test_count_scale_tu_solve_on_the_mle_path():
+    # a planted TU 30x30 market, d = 5, about 100 matches per cell; at this
+    # theta of mle_nested's path (coordinate psi on the pin) the Jacobi
+    # iterates cycled at the rounding floor with a period above 2, and the
+    # pinned solve ended MaxIterExceeded after 100,000 sweeps (residual 3.6e-11)
+    X, d = 30, 5
+    rng = np.random.default_rng(0)
+    A = rng.normal(0.0, 0.5, (d, X, X))
+    alpha0 = rng.normal(0.0, 0.3, (X, X))
+    planted = rng.normal(0.0, 0.5, d)
+    a, b = rng.normal(0.0, 0.3, (2, X))
+    mu = 100.0 * np.exp(0.5 * (a[:, None] + (alpha0 + np.tensordot(planted, A, axes=1)) + b[None, :]))
+    theta = np.array([-0.1316089185780873, -0.8449896613094074, 0.38905083210952995,
+                      -0.14655410114589573, 0.0730075388603751])
+    fam = tu_family(phi=alpha0 + np.tensordot(theta, A, axes=1))
+    prim = MarketPrimitives(family=fam, n=mu.sum(axis=1), m=mu.sum(axis=0))
+    eq = solve_mfe(prim, nz.coordinate(X), float(b[0] + np.log(100.0)))
+    assert eq.report.iterations <= 2
+    assert np.allclose(eq.mu.sum(axis=1), prim.n, rtol=1e-13)
+    assert np.allclose(eq.mu.sum(axis=0), prim.m, rtol=1e-13)
 
 
 # ----------------------------------------------------------------------

@@ -53,7 +53,7 @@ from equisub.matching import (
     tu_family,
 )
 
-from conftest import LN2, staged_grid_solve
+from conftest import LN2, jacobi_log_linear_sweep, staged_grid_solve
 
 
 # ----------------------------------------------------------------------
@@ -254,15 +254,16 @@ def test_solve_pinned_matches_grid_reference(tu_2x2_diag):
 
 
 def _tu_count_sized_cycle():
-    # count-sized TU targets: from this point the closed-form sweep cycles
-    # by one unit in the last place of p, with the residual at the rounding
-    # floor of q
+    # count-sized TU targets: from this point the closed-form Jacobi sweep
+    # cycles by one unit in the last place of p, with the residual at the
+    # rounding floor of q (the library's TU sweep returns its own output)
     prim = MarketPrimitives(
         family=tu_family(phi=np.zeros((2, 2))),
         n=np.array([500410.0, 499590.0]),
         m=np.array([498945.0, 501055.0]),
     )
     system, q = build_mfe_system(prim)
+    system = replace(system, sweep_solver=jacobi_log_linear_sweep(prim.family, 2))
     p0 = np.array([-12.430853301234087, -12.427573300498931, 12.424993962049484, 12.433433974574761])
     return system, q, 12.424993962049484, p0, SolverOptions(tol_outer=1e-13, max_iter_jacobi=2000)
 
