@@ -22,11 +22,12 @@ from .errors import (
     NonpositiveMatch,
 )
 from .normalization import Normalization
-from .roots import bisect, expand_bracket
+from .roots import bisect, expand_bracket, newton
 from .solver import SolveReport, SolverOptions, solve_normalized
 from .system import Bounds, SubsolutionHints, SupplySystem
 
 FRONTIER_TOL = 1e-12  # bisection width of frontier_distance's d
+NEWTON_TOL = 1e-13  # |accounting error| at which a transfer sweep's root stops
 IPFP_MAX_STEPS = 10_000  # steps of one log-linear sweep; at the cap it
                          # returns its last iterate for solve_pinned to judge
 
@@ -280,60 +281,42 @@ class MarketPrimitives:
 
 
 def _itu_sweep(fam: MatchingFamily, X: int, Y: int):
-    """Jacobi sweep of a transfer family: safeguarded Newton per coordinate.
+    """Block Gauss-Seidel sweep of a transfer family (ETU, ITU).
 
-    Sections are smooth and increasing in the own fee but can be bounded
-    (e.g. the harmonic-mean family saturates), so the bracket expansion
-    reports unreachable targets through NoBracket, naming the coordinate.
+    Given b, each row's accounting sum reads only its a_x, and given a, each
+    column's only its b_y (the block structure of the ITU IPFP of Galichon,
+    Kominers & Weber, JPE 2019).  The sweep solves all free rows from p's b,
+    then all free columns from the new a, each block as one expand_bracket
+    walk and one roots.newton on the distance's slopes.  A target out of
+    reach (ETU saturates) raises NoBracket naming its system coordinate.
     """
     dist = fam.distance
 
-    def newton(target, p, z):
-        # row x: sum_y M(a_x, b) = n_x = -target in a_x = -p_z;
-        # column y: sum_x M(a, b_y) = m_y = target in b_y = p_z
-        row = z < X
-        if row:
-            sign, own, other, grad = -1.0, fam.alpha[z], -p[X:] - fam.gamma[z], dist.grad_u
-        else:
-            sign, own, other, grad = 1.0, fam.gamma[:, z - X], p[:X] - fam.alpha[:, z - X], dist.grad_v
-
-        def F(fee):
-            uv = (-fee - own, other) if row else (other, -fee - own)
+    def solve(coords, goal, start, payoffs, grad):
+        # one fee t_i per coordinate i with sum_j M = goal_i, where
+        # payoffs(t) gives the (u, v) tables whose row i holds i's cells
+        def section(t):
+            uv = payoffs(t)
             M = np.exp(-dist.d(*uv))
-            return M.sum(), (M * grad(*uv)).sum()
+            return M.sum(axis=1) - goal, (M * grad(*uv)).sum(axis=1)
 
-        goal = sign * target
-        lo, hi = expand_bracket(lambda t: F(t)[0] - goal, sign * p[z])
-        t = 0.5 * (lo + hi)
-        for _ in range(100):
-            f, fp = F(t)
-            if f < goal:
-                lo = t
-            else:
-                hi = t
-            if abs(f - goal) <= 1e-13 * (1.0 + abs(goal)):
-                break
-            if fp > 0:
-                t_new = t - (f - goal) / fp
-            else:
-                t_new = 0.5 * (lo + hi)
-            if not (lo < t_new < hi):
-                t_new = 0.5 * (lo + hi)
-            if abs(t_new - t) <= 1e-15 * max(1.0, abs(t)):
-                t = t_new
-                break
-            t = t_new
-
-        return sign * t
+        try:
+            lo, hi = expand_bracket(lambda t: section(t)[0], start)
+        except NoBracket as exc:
+            exc.coordinate = int(coords[exc.coordinate])
+            raise
+        return newton(section, lo, hi, NEWTON_TOL)
 
     def sweep(q, p, pin):
+        free = np.arange(X + Y) != pin
+        rows, cols = np.flatnonzero(free[:X]), X + np.flatnonzero(free[X:])
         p_new = p.copy()
-        for z in np.flatnonzero(np.arange(X + Y) != pin):
-            try:
-                p_new[z] = newton(q[z], p, z)
-            except NoBracket as exc:
-                exc.coordinate = int(z)
-                raise
+        # rows: sum_y M(a_x, b_y) = n_x = -q_x in a_x = -p_x, given p's b
+        v = -p[X:] - fam.gamma[rows]
+        p_new[rows] = -solve(rows, -q[rows], -p[rows], lambda t: (-t[:, None] - fam.alpha[rows], v), dist.grad_u)
+        # columns: sum_x M(a_x, b_y) = m_y = q_y in b_y = p_y, given the new a
+        u, gamma = p_new[:X] - fam.alpha[:, cols - X].T, fam.gamma[:, cols - X].T
+        p_new[cols] = solve(cols, q[cols], p[cols], lambda t: (u, -t[:, None] - gamma), dist.grad_v)
         return p_new
 
     return sweep

@@ -4,9 +4,9 @@ Under gross substitutability every coordinate section t -> Q_z(t, p_-z) is
 nondecreasing, so each scalar equation the package solves has a root set
 that is an interval, and the solvers want its left end.  expand_bracket
 walks from a start point until the sign changes; bisect then halves the
-bracket on the predicate f >= 0.  Both work on arrays of independent
-equations: f maps an array of points to an array of values of the same
-shape.
+bracket on the predicate f >= 0, or newton steps on a smooth f's slope.
+All three work on arrays of independent equations: f maps an array of
+points to an array of values of the same shape.
 """
 from __future__ import annotations
 
@@ -19,6 +19,7 @@ from .errors import NoBracket
 Section = Callable[[np.ndarray], np.ndarray]
 
 STEP = 1.0  # first step of an expand_bracket walk; later steps double
+NEWTON_STEPS = 100  # cap on the steps of one newton call
 
 
 def expand_bracket(
@@ -94,3 +95,26 @@ def bisect(f: Section, lo, hi, tol: float) -> Tuple[np.ndarray, np.ndarray]:
         high = np.asarray(f(np.where(active, mid, hi)), dtype=float) >= 0
         hi = np.where(active & high, mid, hi)
         lo = np.where(active & ~high, mid, lo)
+
+
+def newton(f, lo, hi, tol: float) -> np.ndarray:
+    """Safeguarded Newton for the roots of increasing f, f(lo) < 0 <= f(hi).
+
+    f maps t to (f(t), f'(t)).  Each element starts at its bracket's
+    midpoint and keeps the bracket; a step that leaves it (or a slope <= 0)
+    goes to the midpoint.  An element stops at |f| <= tol, after a step
+    below rounding (1e-15 * max(1, |t|), taken) or after NEWTON_STEPS steps.
+    """
+    t = 0.5 * (lo + hi)
+    todo = np.ones(np.shape(t), dtype=bool)
+    for _ in range(NEWTON_STEPS):
+        fx, slope = f(t)
+        lo, hi = np.where(todo & (fx < 0), t, lo), np.where(todo & (fx >= 0), t, hi)
+        todo &= np.abs(fx) > tol
+        if not todo.any():
+            break
+        nxt = t - fx / np.where(slope > 0, slope, np.nan)
+        nxt = np.where((lo < nxt) & (nxt < hi), nxt, 0.5 * (lo + hi))
+        settled = np.abs(nxt - t) <= 1e-15 * np.maximum(1.0, np.abs(t))
+        t, todo = np.where(todo, nxt, t), todo & ~settled
+    return t

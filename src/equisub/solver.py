@@ -2,13 +2,13 @@
 
 solve_pinned fixes one coordinate and iterates a sweep from a point where
 the system lies weakly below its targets: the system's sweep_solver, which
-reaches at least the Jacobi sweep (every free coordinate's scalar equation
-solved given the others) and at most the pinned solution, else
-bisection_sweep, the Jacobi sweep itself.  Under gross substitutability
-the iterates increase monotonically to the pinned solution.
-solve_normalized wraps the pinned solver in a bisection on the pinned
-value to meet psi(p) = K; on a translation-invariant system its probes
-shift one pinned solution.
+returns a point between the Jacobi sweep (every free coordinate's scalar
+equation solved given the others) and the pinned solution, such as a block
+Gauss-Seidel sweep, else bisection_sweep, the Jacobi sweep itself.  Under
+gross substitutability the iterates increase monotonically to the pinned
+solution.  solve_normalized wraps the pinned solver in a bisection on the
+pinned value to meet psi(p) = K; on a translation-invariant system its
+probes shift one pinned solution.
 """
 from __future__ import annotations
 

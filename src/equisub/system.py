@@ -73,17 +73,17 @@ class SupplySystem:
     - eval_batch(P) maps an (N, dim) array of price rows to the (N, dim)
       array of their outputs, row by row as eval_fn would;
     - sweep_solver(q, p, pin) returns the next iterate of the pinned
-      solve at p: any point from the Jacobi sweep at p (every free
+      solve at p: any point between the Jacobi sweep at p (every free
       coordinate's left root of Q_z(t, p_{-z}) = q[z] given the others)
-      up to the pinned solution.  A sweep that stops at the pinned
-      solution must return its own output unchanged, bit for bit, so that
-      the pinned solve sees step 0 and judges the residual.  The
-      exact-logit and the TU/NTU sweeps jump straight to the solution;
-      the others are Jacobi sweeps.  The caller resets the pinned entry,
-      and a root outside the box makes the pinned solve raise NoBracket;
-      the sweep need not keep its result inside the bounds.  Without one,
-      the pinned solver sweeps by bracketing and bisection
-      (solver.bisection_sweep);
+      and the pinned solution.  A sweep that stops at the pinned solution
+      must return its own output unchanged, bit for bit, so that the
+      pinned solve sees step 0 and judges the residual.  The exact-logit
+      and TU/NTU sweeps jump to the solution, the ETU/ITU sweep is block
+      Gauss-Seidel (rows, then columns given the new rows), the others are
+      Jacobi.  The caller resets the pinned entry, and a root outside the
+      box makes the pinned solve raise NoBracket; the sweep need not keep
+      its result inside the bounds.  Without one, the pinned solver sweeps
+      by bracketing and bisection (solver.bisection_sweep);
     - translation_invariant: Q(p + t*1) = Q(p) for all t, and the box is
       unbounded, so a pinned solution at one pin value shifted by a
       constant is the pinned solution at another.  Builders set it for

@@ -9,7 +9,7 @@ from scipy.optimize import root
 
 from equisub import normalization as nz
 from equisub import solver
-from equisub.errors import BalanceViolated, BracketNotFound, FamilyLacksTransfers
+from equisub.errors import BalanceViolated, BracketNotFound, FamilyLacksTransfers, NoBracket
 from equisub.matching import (
     DIST_AVERAGE,
     DIST_LOGMEAN,
@@ -355,6 +355,70 @@ def test_etu_mean_psi_recovers_planted_fees():
     assert eq.report.outer_solves <= 100
     widths = [hi - lo for lo, hi in eq.report.bracket_history]
     assert all(w1 == 0.5 * w0 for w0, w1 in zip(widths, widths[1:]))
+
+
+def test_etu_mean_psi_planted_3x4_market_solves():
+    # a planted ETU 3x4 market: with the per-coordinate Jacobi sweep, a
+    # tight pinned solve at pin -0.0674001 stalled at the rounding floor
+    # without a two-cycle, and solve_mfe raised MaxIterExceeded after 100,000
+    # sweeps (residual 3.6e-13)
+    rng = np.random.default_rng(38)
+    X, Y = rng.integers(2, 7), rng.integers(2, 7)
+    alpha, gamma = rng.normal(0.0, 0.25, (2, X, Y))
+    a_star, b_star = rng.normal(0.0, 0.25, X), rng.normal(0.0, 0.25, Y)
+    fam = etu_family(alpha, gamma)
+    mu = fam.match(a_star, b_star)
+    prim = MarketPrimitives(family=fam, n=mu.sum(axis=1), m=mu.sum(axis=0))
+    eq = solve_mfe(prim, nz.mean(), float(np.mean(np.r_[-a_star, b_star])))
+    assert (X, Y) == (3, 4)
+    assert np.max(np.abs(np.r_[eq.a - a_star, eq.b - b_star])) <= 1e-9
+
+
+def _planted_etu_3x4():
+    rng = np.random.default_rng(3)
+    alpha, gamma = rng.normal(0.0, 0.3, (2, 3, 4))
+    a_star, b_star = rng.normal(0.0, 0.2, 3), rng.normal(0.0, 0.2, 4)
+    fam = etu_family(alpha, gamma)
+    mu = fam.match(a_star, b_star)
+    system, q = build_mfe_system(MarketPrimitives(family=fam, n=mu.sum(axis=1), m=mu.sum(axis=0)))
+    return system, q, np.r_[-a_star, b_star], rng
+
+
+@pytest.mark.parametrize("pin", [0, 2, 3, 5], ids=["row", "last-row", "column", "later-column"])
+def test_etu_block_sweep_skips_the_pin_in_its_block(pin):
+    # the sweep solves the free rows, then the free columns; the pin may sit
+    # in either block, and the solve from near the truth must return it
+    # (tol_outer bounds the residual; the default 1e-9 leaves fee errors of
+    # the same order)
+    system, q, truth, rng = _planted_etu_3x4()
+    p0 = truth + rng.normal(0.0, 0.01, truth.size)
+    rep = solver.solve_pinned(system, q, pin, truth[pin], SolverOptions(tol_outer=1e-12), p0=p0)
+    assert rep.p_star[pin] == truth[pin]
+    assert np.max(np.abs(rep.p_star - truth)) <= 1e-9
+
+
+@pytest.mark.parametrize("z, target", [(1, -1e3), (5, 1e3)], ids=["row", "column"])
+def test_etu_block_sweep_names_an_unreachable_coordinate(z, target):
+    # ETU matches saturate (M < 2 e^(b + gamma) in a, and 2 e^(a + alpha)
+    # in b), so a mass of 1e3 is out of reach of any fee
+    system, q, truth, _ = _planted_etu_3x4()
+    q = q.copy()
+    q[z] = target
+    with pytest.raises(NoBracket) as info:
+        system.sweep_solver(q, truth, 3)
+    assert info.value.coordinate == z
+
+
+def test_etu_coordinate_psi_sweep_count():
+    # ETU 5x5, unit masses, coordinate psi on the pin: the block
+    # Gauss-Seidel sweep takes 256 sweeps; the per-coordinate Jacobi sweep
+    # took 462.  Counts are exact across machines
+    X = 5
+    alpha, gamma = np.random.default_rng(0).normal(0.0, 0.5, (2, X, X))
+    prim = MarketPrimitives(family=etu_family(alpha, gamma), n=np.ones(X), m=np.ones(X))
+    eq = solve_mfe(prim, nz.coordinate(X), 0.0)
+    assert eq.report.iterations <= 256
+    assert np.allclose(eq.mu.sum(axis=1), 1.0, atol=1e-9)
 
 
 @given(

@@ -31,7 +31,7 @@ from equisub.solver import (
     solve_normalized,
     solve_pinned,
 )
-from equisub.roots import bisect, expand_bracket
+from equisub.roots import bisect, expand_bracket, newton
 from equisub.system import Bounds, SubsolutionHints, SupplySystem, eval_supply
 from equisub.demand import (
     bridge_model,
@@ -184,6 +184,29 @@ def test_bisect_array_matches_scalar_calls():
         lo_r, hi_r = expand_bracket(section(r), 0.0)
         assert bisect(section(r), lo_r, hi_r, 1e-12)[1] == got
     assert np.allclose(batch, roots, atol=1e-10)
+
+
+def test_newton_array_matches_scalar_calls():
+    # x / (1 + |x|) saturates, so far from the root a Newton step
+    # overshoots the bracket and the midpoint fallback must take over
+    roots = np.array([-3.7, 0.0, 0.25, 13.0])
+
+    def section(r):
+        return lambda t: ((t - r) / (1.0 + np.abs(t - r)), 1.0 / (1.0 + np.abs(t - r)) ** 2)
+
+    def value(r):
+        return lambda t: section(r)(t)[0]
+
+    lo, hi = expand_bracket(value(roots), np.zeros(4))
+    batch = newton(section(roots), lo, hi, 1e-13)
+    for r, got, lo_r, hi_r in zip(roots, batch, lo, hi):
+        assert newton(section(r), *expand_bracket(value(r), 0.0), 1e-13) == got
+        assert lo_r <= got <= hi_r
+        assert abs(value(r)(got)) <= 1e-13
+    # the first step of the last section leaves its bracket
+    mid = 0.5 * (lo[3] + hi[3])
+    f, slope = section(roots[3])(mid)
+    assert not lo[3] < mid - f / slope < hi[3]
 
 
 def test_expand_bracket_names_failing_element():
