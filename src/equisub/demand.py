@@ -23,11 +23,11 @@ from .errors import (
     NoBracket,
 )
 from .normalization import Normalization
-from .roots import bisect, expand_bracket
+from .roots import bisect, expand_bracket, newton
 from .solver import SolveReport, SolverOptions, solve_normalized
 from .system import Bounds, SubsolutionHints, SupplySystem
 
-XI_TOL = 1e-12  # bisection width of residual_xi without an exact g_inv
+XI_TOL = 1e-12  # bracket width of residual_xi without an exact g_inv
 REGULARITY_EPS = np.linspace(-2.0, 2.0, 9)  # shock grid of check_utility_regularity
 REGULARITY_TOL = 1e-8  # utility drop check_utility_regularity tolerates
 
@@ -371,7 +371,9 @@ class GFamily:
     """Structural link delta = g(t, x2; theta) with t the unobserved index.
 
     g must be strictly increasing in t.  g_inv, when given, is the exact
-    inverse in t; otherwise a bracketed bisection is used.
+    inverse in t; otherwise residual_xi brackets each root, steps Newton on
+    a forward-difference slope, and certifies the answer by a bracket
+    narrower than XI_TOL, bisecting where Newton cannot land.
     """
 
     g: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
@@ -405,13 +407,22 @@ def residual_xi(
     def section(t):
         return np.asarray(gfam.g(t, x2, theta), dtype=float) - delta
 
-    # g is increasing in t: walk down and up from t = 0 for the two ends
-    # of each bracket
-    zero = np.zeros_like(delta)
+    def sloped(t):
+        h = 1e-6 * np.maximum(1.0, np.abs(t))
+        f = section(t)
+        return f, (section(t + h) - f) / h
+
+    # g is increasing in t: one walk from t = 0 brackets each root, Newton
+    # lands near it, and a bracket of width XI_TOL / 2 around Newton's point
+    # replaces the walk's wherever it holds the sign change; bisection then
+    # narrows the rest (a kink, or zero slope at the root) to XI_TOL
     try:
-        lo, _ = expand_bracket(section, zero, fx0=np.inf, closed=True, max_expansions=200)
-        _, hi = expand_bracket(section, zero, fx0=-np.inf, max_expansions=200)
+        lo, hi = expand_bracket(section, np.zeros_like(delta), closed=True, max_expansions=200)
     except NoBracket as exc:
         raise GNotInvertible(f"no bracket for data point {exc.coordinate}") from exc
-    lo, hi = bisect(section, lo, hi, XI_TOL)
+    t = newton(sloped, lo, hi, 0.0)
+    w = 0.25 * XI_TOL * np.maximum(1.0, np.abs(t))
+    a, b = np.maximum(t - w, lo), np.minimum(t + w, hi)
+    held = (section(a) < 0) & (section(b) >= 0)
+    lo, hi = bisect(section, np.where(held, a, lo), np.where(held, b, hi), XI_TOL)
     return 0.5 * (lo + hi) - x1

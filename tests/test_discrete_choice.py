@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from equisub import normalization as nz
 from equisub import solver
 from equisub.demand import (
+    XI_TOL,
     DemandModel,
     GFamily,
     bridge_model,
@@ -23,7 +24,7 @@ from equisub.demand import (
     rc_logit_model,
     residual_xi,
 )
-from equisub.errors import DimensionMismatch
+from equisub.errors import DimensionMismatch, GNotInvertible
 from equisub.solver import BOUND_MARGIN
 
 LN2 = np.log(2.0)
@@ -315,3 +316,62 @@ def test_residual_xi_numeric_inverse_matches_analytic():
     delta = t0 + t0**3 - theta[0] * x2
     xi = residual_xi(delta, x1, x2, gfam, theta)
     assert np.allclose(xi, t0 - x1, atol=1e-9)
+
+
+def test_residual_xi_numeric_inverse_counts_and_accuracy():
+    # the linear link without its inverse: Newton lands on each root, so a
+    # call costs a short walk, a few Newton steps and the two certifying
+    # evaluations, and the answer matches the exact inverse to rounding
+    rng = np.random.default_rng(0)
+    Z = 40
+    x2 = rng.uniform(0.5, 2.0, Z)
+    x1 = rng.normal(0.0, 0.5, Z)
+    xi0 = rng.normal(0.0, 0.1, Z)
+    delta = x1 + xi0 - 1.5 * x2
+    calls = [0]
+
+    def g(t, x2, th):
+        calls[0] += 1
+        return t - th[0] * x2
+
+    for th in (0.0, 1.5, 3.0):
+        theta = np.array([th])
+        calls[0] = 0
+        xi = residual_xi(delta, x1, x2, GFamily(g=g), theta)
+        assert calls[0] <= 24
+        exact = residual_xi(delta, x1, x2, linear_g(), theta)
+        assert np.max(np.abs(xi - exact)) <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "g, t0",
+    [
+        # zero slope at the planted root t = 0 (x2 = 0 there, so delta = 0)
+        (lambda t, x2, th: t**3 - th[0] * x2, np.array([0.0, 0.5, -0.8, 1.3, -2.0])),
+        # a kink at t = 0.3, planted on it and on both sides
+        (
+            lambda t, x2, th: t + 50.0 * np.maximum(t - 0.3, 0.0) - th[0] * x2,
+            np.array([0.3, 0.29, 0.31, -0.4, 1.7]),
+        ),
+        # a near-step: slope 1e-6 away from the step, 40 at it
+        (
+            lambda t, x2, th: np.tanh(40.0 * t) + 1e-6 * t - th[0] * x2,
+            np.array([0.0, 0.01, -0.02, 0.04, -0.05]),
+        ),
+    ],
+    ids=["cubic", "kinked", "tanh-step"],
+)
+def test_residual_xi_bisects_where_newton_cannot_land(g, t0):
+    rng = np.random.default_rng(3)
+    theta = np.array([0.7])
+    x2 = np.where(t0 == 0.0, 0.0, rng.uniform(0.5, 2.0, t0.size))
+    delta = g(t0, x2, theta)
+    xi = residual_xi(delta, np.zeros_like(t0), x2, GFamily(g=g), theta)
+    assert np.all(np.abs(xi - t0) <= 0.5 * XI_TOL * np.maximum(1.0, np.abs(t0)))
+
+
+def test_residual_xi_bounded_link_not_invertible():
+    gfam = GFamily(g=lambda t, x2, th: np.tanh(t))
+    delta = np.array([0.1, 1.5, -0.2])
+    with pytest.raises(GNotInvertible, match="no bracket for data point 1"):
+        residual_xi(delta, np.zeros(3), np.zeros(3), gfam, np.zeros(1))

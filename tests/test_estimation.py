@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from equisub import normalization as nz
-from equisub.demand import demand_logit, linear_g, logit_model
+from equisub.demand import GFamily, demand_logit, linear_g, logit_model
 from equisub.errors import OptimizerStalled, SingularWeight, ZeroPredictedCell
 from equisub.estimation import (
     ThetaSpec,
@@ -306,6 +306,18 @@ def test_gmm_two_step_noisy_recovery():
         np.zeros(1), two_step=True,
     )
     assert abs(res.theta[0] - theta0) <= 0.05
+
+
+@pytest.mark.parametrize("Z", [30, 50])
+def test_gmm_two_step_without_g_inv_matches_exact(Z):
+    model, s, x1, x2, y, delta = _demand_data(1.5, Z, sigma=0.1)
+    K = float(np.mean(delta))
+    numeric = GFamily(g=lambda t, x2, th: t - th[0] * x2)
+    th_exact, th_numeric = (
+        gmm_nested(model, s, x1, x2, y, g, nz.mean(), K, np.zeros(1), two_step=True).theta[0]
+        for g in (linear_g(), numeric)
+    )
+    assert abs(th_exact - th_numeric) <= 5e-9
 
 
 def test_gmm_weight_scale_invariance():
