@@ -211,11 +211,11 @@ def _mc_sweep(model: DemandModel):
 def build_demand_system(model: DemandModel) -> SupplySystem:
     """Share equations as a balanced system (shares sum to one).
 
-    Hints order the coordinates 0, 1, ..., Z-1; the envelope for good k
-    evaluates the share map with every later quality pushed far down
-    (those goods are effectively removed), which by substitutability can
-    only overstate good k's share and makes the value independent of the
-    later coordinates.
+    Hints pin coordinate 0, then put each good k = 1, ..., Z-1 in a block
+    of its own; its envelope evaluates the share map with every later
+    quality pushed far down (those goods are effectively removed), which
+    by substitutability can only overstate good k's share and makes the
+    value independent of the later coordinates.
     """
     Z = model.dim
 
@@ -226,12 +226,12 @@ def build_demand_system(model: DemandModel) -> SupplySystem:
         def _env(p):
             clamped = p.copy()
             clamped[k + 1 :] = np.min(p[: k + 1]) - 40.0
-            return float(shares(model, clamped)[k])
+            return shares(model, clamped)[k : k + 1]
 
         return _env
 
     hints = SubsolutionHints(
-        ordering=tuple(range(Z)),
+        ordering=(0,) + tuple(np.array([k]) for k in range(1, Z)),
         envelopes=tuple(env(k) for k in range(1, Z)),
     )
 

@@ -8,7 +8,7 @@ The market maps to a balanced system via p = (-a, b), q = (-n, m), c = 0.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -377,36 +377,26 @@ def build_mfe_system(prim: MarketPrimitives) -> Tuple[SupplySystem, np.ndarray]:
     Stacked prices p = (-a_1..-a_X, b_1..b_Y); outputs are minus the X-side
     accounting sums and the Y-side accounting sums, so that every coordinate
     map is nondecreasing in its own price and nonincreasing in the others.
-    Targets are q = (-n, m).  Subsolution hints order the first Y
-    coordinate (the pin) before the X side, whose envelopes keep only the
-    pinned column of the matching table.
+    Targets are q = (-n, m).  Subsolution hints put the first Y coordinate
+    (the pin) before two blocks: the X rows, whose envelopes keep only the
+    pinned column of the matching table, then the free columns, whose
+    envelopes are their accounting sums.
     """
     fam = prim.family
     X, Y = fam.shape
     dim = X + Y
 
-    def q_of_p(p):
+    def table(p):
         # p is one price vector (dim,) or a batch of rows (N, dim)
-        mu = np.exp(fam.log_match(-p[..., :X], p[..., X:]))
+        return np.exp(fam.log_match(-p[..., :X], p[..., X:]))
+
+    def q_of_p(p):
+        mu = table(p)
         return np.concatenate([-mu.sum(axis=-1), mu.sum(axis=-2)], axis=-1)
 
     pin = X  # first Y-side coordinate
-    ordering = (pin,) + tuple(range(X)) + tuple(range(X + 1, dim))
-
-    def envelope(rows: slice, j: int, sign: float):
-        # matches of the table block (rows, column j) alone, read off the
-        # family restricted to that block; for row x and the pinned column
-        # j = 0 they already exhaust n_x
-        block = replace(fam, alpha=fam.alpha[rows, j : j + 1], gamma=fam.gamma[rows, j : j + 1])
-
-        def env(p):
-            return sign * float(np.exp(block.log_match(-p[:X][rows], p[X + j : X + j + 1])).sum())
-
-        return env
-
-    envelopes = tuple(envelope(slice(x, x + 1), 0, -1.0) for x in range(X)) + tuple(
-        envelope(slice(None), j, 1.0) for j in range(1, Y)
-    )
+    ordering = (pin, np.arange(X), np.arange(X + 1, dim))
+    envelopes = (lambda p: -table(p)[:, 0], lambda p: table(p)[:, 1:].sum(axis=0))
 
     scale = fam.log_linear
     sweep = _itu_sweep(fam, X, Y) if scale is None else _ipfp_sweep(fam, X)

@@ -108,10 +108,13 @@ def build_subsolution(
 ) -> np.ndarray:
     """Construct p0 with p0[pin] = pin_value and Q(p0) <= q off the pin.
 
-    Walks the hinted ordering, pushing each coordinate down until its upper
-    envelope drops (weakly) below the target.  Because each envelope
-    dominates the true coordinate map and ignores later coordinates, the
-    finished point is a subsolution.
+    Walks the hinted blocks in order: the coordinates of a block whose
+    envelope values exceed their targets are pushed down as one closed walk
+    until each drops (weakly) below its target; the others keep their start
+    point.  Because each envelope dominates its coordinate map and reads
+    only the pin, earlier blocks and its own coordinate, the finished point
+    is a subsolution.  A walk that cannot cross raises
+    EnvelopeNotDownwardResponsive naming the system coordinate.
     """
     hints = system.subsolution_hints
     if hints is None:
@@ -122,7 +125,7 @@ def build_subsolution(
             f"hinted ordering starts at {ordering[0]}, but coordinate {pin} is pinned"
         )
     if len(hints.envelopes) != len(ordering) - 1:
-        raise HintsMissing("need one envelope per non-pinned ordered coordinate")
+        raise HintsMissing("need one envelope per hinted block")
 
     q = np.asarray(q, dtype=float)
     p = np.zeros(system.dim)
@@ -137,22 +140,22 @@ def build_subsolution(
             p[i] = lo + 1.0
     p[pin] = pin_value
 
-    for k in range(1, len(ordering)):
-        z = ordering[k]
-        env = hints.envelopes[k - 1]
+    for block, env in zip(ordering[1:], hints.envelopes):
+        f0 = env(p) - q[block]
+        over = f0 > 0
+        z = block[over]
+        if not z.size:
+            continue
 
         def excess(t):
             p[z] = t
-            return env(p) - q[z]
+            return env(p)[over] - q[z]
 
-        f0 = excess(p[z])
-        if f0 <= 0:
-            continue
         try:
-            lo, _ = _walk(excess, p[z], system, z, fx0=f0, closed=True)
+            lo, _ = _walk(excess, p[z], system, z, fx0=f0[over], closed=True)
         except NoBracket as exc:
             raise EnvelopeNotDownwardResponsive(
-                f"envelope for coordinate {z} stays above its target: {exc}"
+                f"envelope for coordinate {z[exc.coordinate]} stays above its target: {exc}"
             ) from exc
         p[z] = lo
 

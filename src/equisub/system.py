@@ -52,12 +52,15 @@ class Bounds:
 
 @dataclass(frozen=True)
 class SubsolutionHints:
-    """Ordering and upper envelopes used to build a starting point.
+    """Blocks of coordinates and their upper envelopes, used to build a
+    starting point.
 
-    ordering[0] is the pinned coordinate.  For k >= 1, envelopes[k-1] is a
-    callable p -> float bounding Q_{ordering[k]}(p) from above while
-    depending only on the coordinates ordering[0..k], and it can be pushed
-    below any target by lowering p[ordering[k]].
+    ordering[0] is the pinned coordinate; for k >= 1, ordering[k] is a
+    block, a 1-d integer array of coordinates (possibly empty).
+    envelopes[k-1] is a callable p -> array with one value per coordinate
+    of block k, each bounding Q_z(p) from above for its coordinate z while
+    reading only the pin, the earlier blocks and p[z], and each can be
+    pushed below any target by lowering p[z].
     """
 
     ordering: tuple

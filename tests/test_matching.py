@@ -96,8 +96,8 @@ def test_log_match_batch_rows_equal_single_calls():
 
 
 def test_mfe_envelopes_equal_whole_table_values():
-    # each envelope reads its cell (x, 0) or its column j off a sub-family;
-    # the value must be the one the whole X x Y table gives
+    # the row block's envelopes are the pinned column's cells (x, 0), the
+    # column block's the free columns' sums, read off the whole X x Y table
     rng = np.random.default_rng(2)
     X, Y = 3, 4
     alpha, gamma = rng.normal(size=(2, X, Y))
@@ -109,13 +109,11 @@ def test_mfe_envelopes_equal_whole_table_values():
     ]
     for fam in families:
         system, _ = build_mfe_system(MarketPrimitives(family=fam, n=np.ones(X), m=np.full(Y, 0.75)))
-        envelopes = system.subsolution_hints.envelopes
+        rows, cols = system.subsolution_hints.envelopes
         for p in rng.normal(size=(5, X + Y)):
             table = np.exp(fam.log_match(-p[:X], p[X:]))
-            for x in range(X):
-                assert envelopes[x](p) == -table[x, 0]
-            for j in range(1, Y):
-                assert envelopes[X + j - 1](p) == float(table[:, j].sum())
+            assert np.array_equal(rows(p), -table[:, 0])
+            assert np.array_equal(cols(p), table[:, 1:].sum(axis=0))
 
 
 # ----------------------------------------------------------------------

@@ -1,15 +1,18 @@
 """Core solver tests: supply evaluation, bisection sweeps, pinned Jacobi
 solves, the normalized outer search, and normalization algebra."""
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from equisub import solver
 from equisub.errors import (
     BalanceViolated,
     DimensionMismatch,
+    EnvelopeNotDownwardResponsive,
     HintsMissing,
     NoBracket,
     NonFinite,
@@ -37,6 +40,7 @@ from equisub.demand import (
     bridge_model,
     build_demand_system,
     demand_logit,
+    demand_mc,
     logit_mc_model,
     logit_model,
     pure_characteristics_model,
@@ -244,6 +248,94 @@ def test_build_subsolution_logit(logit3):
     p0 = build_subsolution(system, s, 0, 0.0)
     out = eval_supply(system, p0)
     assert np.all(out[1:] <= s[1:] + 1e-9)
+
+
+def _planted_market(kind, X, Y, seed=0):
+    # masses from planted fees; the pinned column's gamma is raised so that
+    # ETU's saturating row envelopes (M_x0 < 2 exp(b_0 + gamma_x0)) can
+    # still reach the row masses.  Returns the system, targets and planted pin.
+    rng = np.random.default_rng(seed)
+    alpha, gamma = rng.normal(0.0, 0.5, (2, X, Y))
+    gamma[:, 0] += 3.0
+    a, b = rng.normal(0.0, 0.25, X), rng.normal(0.0, 0.25, Y)
+    fam = {"TU": tu_family(alpha=alpha, gamma=gamma), "NTU": ntu_family(alpha + gamma),
+           "ETU": etu_family(alpha, gamma)}[kind]
+    mu = fam.match(a, b)
+    system, q = build_mfe_system(MarketPrimitives(family=fam, n=mu.sum(axis=1), m=mu.sum(axis=0)))
+    return system, q, float(b[0])
+
+
+def _assert_subsolution(system, q, pin, pin_value, p0):
+    off = np.arange(system.dim) != pin
+    assert p0[pin] == pin_value
+    assert np.all(eval_supply(system, p0)[off] <= q[off] + 1e-9)
+
+
+@pytest.mark.parametrize("kind", ["TU", "NTU", "ETU"])
+def test_build_subsolution_walks_each_block_once(kind, monkeypatch):
+    # rows, then free columns: one walk per block, not one per coordinate
+    # (a 12 x 9 market has 20 free coordinates)
+    system, q, pin_value = _planted_market(kind, 12, 9)
+    pin = system.subsolution_hints.ordering[0]
+    walks = []
+    walk = solver.expand_bracket
+
+    def counted(*args, **kwargs):
+        walks.append(args)
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "expand_bracket", counted)
+    p0 = build_subsolution(system, q, pin, pin_value)
+    assert 1 <= len(walks) <= 2
+    _assert_subsolution(system, q, pin, pin_value, p0)
+
+
+def test_build_subsolution_names_the_stuck_system_coordinate():
+    # block [1, 3]: coordinate 1 starts below its target and is not walked,
+    # coordinate 3's envelope never drops, so the walk's failing element 0
+    # is system coordinate 3 (not block entry 0, coordinate 1)
+    hints = SubsolutionHints(
+        ordering=(0, np.array([1, 3]), np.array([2])),
+        envelopes=(
+            lambda p: np.array([p[1] - p[0] - 1.0, 1.0]),
+            lambda p: np.array([p[2] - p[0]]),
+        ),
+    )
+    system = SupplySystem(
+        dim=4,
+        eval_fn=lambda p: p - p.mean(),
+        bounds=Bounds(np.full(4, -5.0), np.full(4, 5.0)),
+        subsolution_hints=hints,
+    )
+    with pytest.raises(EnvelopeNotDownwardResponsive, match=r"coordinate 3 stays"):
+        build_subsolution(system, np.zeros(4), 0, 0.0)
+
+
+def _demand_case(kind):
+    if kind == "logit-mc":
+        model, delta = logit_mc_model(5, R=2000, seed=3), np.array([0.3, -0.2, 0.1, 0.5, -0.4])
+    else:
+        model = bridge_model(np.array([0.0, 0.5, 1.0, 1.5]), R=2000, seed=31)
+        delta = np.array([-2.0, -1.4, -1.0, -0.7])
+    return build_demand_system(model), demand_mc(model, delta), float(delta[0])
+
+
+# empty column blocks (Y = 1), one-entry blocks and X >= 8 markets, and the
+# singleton blocks of simulated demand
+SUBSOLUTION_CASES = [
+    pytest.param(partial(_planted_market, kind, X, Y, X * Y), id=f"{kind}-{X}x{Y}")
+    for kind in ("TU", "NTU")
+    for X, Y in ((1, 1), (1, 4), (4, 1), (8, 8), (12, 9))
+] + [pytest.param(partial(_demand_case, kind), id=kind) for kind in ("logit-mc", "bridge")]
+
+
+@pytest.mark.parametrize("case", SUBSOLUTION_CASES)
+def test_build_subsolution_is_a_subsolution(case):
+    system, q, pin_value = case()
+    pin = system.subsolution_hints.ordering[0]
+    for shift in (0.0, -1.5, 1.0):
+        p0 = build_subsolution(system, q, pin, pin_value + shift)
+        _assert_subsolution(system, q, pin, pin_value + shift, p0)
 
 
 # ----------------------------------------------------------------------
