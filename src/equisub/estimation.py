@@ -13,6 +13,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 from scipy import optimize
+from scipy.linalg import get_lapack_funcs
 
 from .demand import DemandModel, GFamily, InversionResult, invert_demand, residual_xi
 from .errors import (
@@ -143,7 +144,7 @@ def _cell_blocks(spec: ThetaSpec, theta: np.ndarray, a: np.ndarray, b: np.ndarra
     P[:, :, :, :d] = -np.moveaxis(np.stack([spec.alpha_basis, spec.gamma_basis]), (2, 3), (0, 1))
     P[:, :, 0, d] = P[:, :, 1, d + 1] = -1.0
     g = -np.einsum("xyi,xyik->xyk", Dd, P)
-    H = -np.einsum("xyik,xyij,xyjl->xykl", P, D2d, P) if hessian else None
+    H = -(np.swapaxes(P, -1, -2) @ (D2d @ P)) if hessian else None
 
     idx = np.empty((X, Y, d + 2), dtype=np.intp)
     idx[:, :, :d] = np.arange(d)
@@ -205,15 +206,58 @@ def _first_order(
     return G, DG, Dl, (M, g, H, idx, DlogN)
 
 
-def _multiplier(DG: np.ndarray, Dl: np.ndarray, d: int) -> np.ndarray:
-    """Least-squares lambda with DG_ab^T lambda = -Dl_ab.
+_getrf, _getrs, _gecon = get_lapack_funcs(("getrf", "getrs", "gecon"), dtype=np.float64)
+
+
+def _redundant_row(X: int, Y: int) -> np.ndarray:
+    """Unit vector r with r^T DG = 0 and r^T G = sum m_hat - sum n_hat = 0.
+
+    The X accounting rows sum to the Y accounting rows up to the data
+    totals, whatever (theta, a, b), so one accounting row is redundant.
+    """
+    r = np.zeros(X + Y + 1)
+    r[:X] = 1.0
+    r[X : X + Y] = -1.0
+    return r / np.sqrt(X + Y)
+
+
+def _min_norm_solve(A: np.ndarray, rhs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Minimum-norm solution of A x = rhs, given a unit null vector z of A.
+
+    A is either square and symmetric with rhs orthogonal to z, or has one
+    row fewer than columns; either way the minimum-norm solution is the
+    one orthogonal to z.  Bordering A with s z (s = |A|_1 keeps the border
+    on the scale of A), as A + s z z^T or as A stacked on s z^T, gives a
+    square system whose unique solution is that one, solved by one LU
+    factorization.  A zero pivot or a reciprocal condition at rounding
+    level means A has a second null direction (e.g. theta is not
+    identified); only then does the solve fall back to an SVD-based
+    least-squares solve.
+    """
+    m, n = A.shape
+    border = np.abs(A).sum(axis=0).max() * z
+    if m == n:
+        B = A + np.outer(z, border)
+    else:
+        B = np.vstack([A, border])
+        rhs = np.append(rhs, 0.0)
+    lu, piv, info = _getrf(B)
+    if info == 0:
+        rcond, _ = _gecon(lu, np.abs(B).sum(axis=0).max())
+        if rcond > n * np.finfo(float).eps:
+            return _getrs(lu, piv, rhs)[0]
+    return np.linalg.lstsq(A, rhs[:m], rcond=None)[0]
+
+
+def _multiplier(spec: ThetaSpec, DG: np.ndarray, Dl: np.ndarray) -> np.ndarray:
+    """Minimum-norm lambda with DG_ab^T lambda = -Dl_ab.
 
     The stacked constraint Jacobian in (a, b) has one redundant accounting
-    row; the normalization row restores full column rank, so the solve is
-    exact and picks the minimum-norm multiplier.
+    row; the normalization row restores full column rank, so the system
+    is consistent and its solutions differ along the redundant row r.
     """
-    lam, *_ = np.linalg.lstsq(DG[:, d:].T, -Dl[d:], rcond=None)
-    return lam
+    d = spec.dim
+    return _min_norm_solve(DG[:, d:].T, -Dl[d:], _redundant_row(*spec.table_shape))
 
 
 # ----------------------------------------------------------------------
@@ -283,7 +327,7 @@ def likelihood_gradient(
         raise SingularConstraintJacobian(
             f"constraint Jacobian condition {s[0] / max(s[-1], 1e-300):.3e} exceeds cap"
         )
-    return Dl[:d] + _multiplier(DG, Dl, d) @ DG[:, :d]
+    return Dl[:d] + _multiplier(spec, DG, Dl) @ DG[:, :d]
 
 
 @dataclass
@@ -439,10 +483,10 @@ def solve_multiplier(
     a: np.ndarray,
     b: np.ndarray,
 ) -> np.ndarray:
-    """Least-squares multipliers making the fee-block stationarity vanish."""
+    """Minimum-norm multipliers making the fee-block stationarity vanish."""
     mu_hat = np.asarray(mu_hat, dtype=float)
     _, DG, Dl, _ = _first_order(spec, theta, a, b, mu_hat, norm, K)
-    return _multiplier(DG, Dl, spec.dim)
+    return _multiplier(spec, DG, Dl)
 
 
 @dataclass
@@ -466,8 +510,9 @@ def mpec_solve(
 ) -> MpecResult:
     """Damped Newton iteration on the stationarity system.
 
-    Steps solve the KKT Jacobian in the least-squares sense (one
-    accounting row is redundant) and are halved until the residual norm
+    Each step is the minimum-norm solution of the KKT system, whose one
+    null direction is the redundant accounting row's multiplier; one
+    bordered LU solve finds it.  Steps are halved until the residual norm
     does not increase.
     """
     theta = np.atleast_1d(np.asarray(theta0, dtype=float)).copy()
@@ -475,13 +520,14 @@ def mpec_solve(
     b = np.asarray(b0, dtype=float).copy()
     d, (X, Y) = spec.dim, spec.table_shape
     lam = solve_multiplier(spec, mu_hat, norm, K, theta, a, b)
+    z = np.concatenate([np.zeros(d + X + Y), _redundant_row(X, Y)])
 
     Psi, J = mpec_residual(spec, mu_hat, norm, K, theta, a, b, lam)
     rnorm = float(np.linalg.norm(Psi))
     for it in range(1, MPEC_MAX_ITER + 1):
         if rnorm <= MPEC_TOL:
             return MpecResult(theta, a, b, lam, rnorm, it - 1)
-        step, *_ = np.linalg.lstsq(J, -Psi, rcond=None)
+        step = _min_norm_solve(J, -Psi, z)
         damp = 1.0
         for _ in range(40):
             t2 = theta + damp * step[:d]

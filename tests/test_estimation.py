@@ -9,6 +9,9 @@ from equisub.demand import GFamily, demand_logit, linear_g, logit_model
 from equisub.errors import OptimizerStalled, SingularWeight, ZeroPredictedCell
 from equisub.estimation import (
     ThetaSpec,
+    _cell_blocks,
+    _min_norm_solve,
+    _redundant_row,
     gmm_moments,
     gmm_nested,
     likelihood_gradient,
@@ -249,6 +252,113 @@ def test_mpec_solve_recovers_planted_parameter():
     )
     assert abs(res.theta[0] - theta0[0]) <= 1e-8
     assert res.residual_norm <= 1e-10
+
+
+def _random_spec(rng, kind, X, Y, d):
+    basis = rng.normal(0.0, 0.5, size=(d, X, Y))
+    if kind == "NTU":
+        return ThetaSpec(kind="NTU", phi0=rng.normal(0.0, 0.3, size=(X, Y)), phi_basis=basis)
+    return ThetaSpec(
+        kind=kind, alpha0=rng.normal(0.0, 0.3, size=(X, Y)), gamma0=rng.normal(0.0, 0.3, size=(X, Y)),
+        alpha_basis=basis, gamma_basis=rng.normal(0.0, 0.5, size=(d, X, Y)),
+    )
+
+
+@pytest.mark.parametrize("kind", ["TU", "NTU", "ETU"])
+def test_mpec_step_is_the_minimum_norm_step(kind):
+    # at generic, non-stationary points the KKT matrix has the one null
+    # vector z of the redundant accounting row, and the bordered LU solves
+    # give exactly the minimum-norm answers of the least-squares solver
+    rng = np.random.default_rng(19)
+    for X, Y, d in ((2, 3, 2), (30, 30, 5)):
+        spec = _random_spec(rng, kind, X, Y, d)
+        nv = d + X + Y
+        mu_hat = rng.uniform(1.0, 10.0, size=(X, Y))
+        theta, a, b = rng.normal(0.0, 0.3, size=d), rng.normal(0.0, 0.3, size=X), rng.normal(0.0, 0.3, size=Y)
+        lam = rng.normal(0.0, 0.3, size=X + Y + 1)
+        Psi, J = mpec_residual(spec, mu_hat, nz.mean(), 0.0, theta, a, b, lam)
+        assert np.linalg.norm(Psi) > 1e-3
+        z = np.concatenate([np.zeros(nv), _redundant_row(X, Y)])
+        assert np.linalg.norm(J @ z) <= 1e-12 * np.linalg.norm(J)
+
+        step = _min_norm_solve(J, -Psi, z)
+        ref, *_ = np.linalg.lstsq(J, -Psi, rcond=None)
+        assert np.linalg.norm(step - ref) <= 1e-10 * np.linalg.norm(ref)
+
+        # at lambda = 0 the KKT residual's first block is Dl and J holds DG
+        Psi0, J0 = mpec_residual(spec, mu_hat, nz.mean(), 0.0, theta, a, b, np.zeros(X + Y + 1))
+        DG_ab, Dl_ab = J0[nv:, d:nv], Psi0[d:nv]
+        ref, *_ = np.linalg.lstsq(DG_ab.T, -Dl_ab, rcond=None)
+        lam_hat = solve_multiplier(spec, mu_hat, nz.mean(), 0.0, theta, a, b)
+        assert np.linalg.norm(lam_hat - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("second", ["zero-basis", "collinear"])
+def test_mpec_solve_non_identified_spec(second):
+    # a second basis of 0 or 2x the first leaves a second null direction in
+    # theta: the minimum-norm steps never move along it, so theta stops at
+    # the projection of the start onto the identified line
+    rng = np.random.default_rng(4)
+    first = rng.normal(0.0, 0.5, size=(4, 4))
+    basis = np.stack([first, np.zeros((4, 4)) if second == "zero-basis" else 2.0 * first])
+    spec = ThetaSpec(kind="TU", alpha0=np.zeros((4, 4)), alpha_basis=basis)
+    theta_star = np.array([0.3, 0.2])
+    Pi, _ = predicted_frequencies(spec, theta_star, np.ones(4), np.ones(4), nz.mean(), 0.0)
+    mu_hat = 100.0 * Pi
+    _, eq = predicted_frequencies(spec, theta_star, mu_hat.sum(axis=1), mu_hat.sum(axis=0), nz.mean(), 0.0)
+    res = mpec_solve(spec, mu_hat, nz.mean(), 0.0, theta_star + 0.1, eq.a, eq.b)
+    assert res.residual_norm <= 1e-10
+    expected = [0.3, 0.3] if second == "zero-basis" else [0.34, 0.18]
+    assert np.allclose(res.theta, expected, rtol=0.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("kind", ["TU", "ETU"])
+def test_mpec_solve_makes_no_least_squares_call(kind, monkeypatch):
+    # planted 30x30 fits with d = 5: every Newton step and the starting
+    # multiplier are LU solves; the SVD fallback is for non-identified specs
+    rng = np.random.default_rng(23)
+    X = Y = 30
+    d = 5
+    spec = _random_spec(rng, kind, X, Y, d)
+    theta, a, b = rng.normal(0.0, 0.3, size=d), rng.normal(0.0, 0.3, size=X), rng.normal(0.0, 0.3, size=Y)
+    mu_hat = np.exp(spec.family(theta).log_match(a, b))
+    K = float(np.concatenate([-a, b]).mean())
+    calls = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kw: calls.append(1) or lstsq(*args, **kw))
+    res = mpec_solve(
+        spec, mu_hat, nz.mean(), K,
+        theta + 0.2 * rng.normal(size=d), a + 0.1 * rng.normal(size=X), b + 0.1 * rng.normal(size=Y),
+    )
+    assert res.residual_norm <= 1e-10
+    assert np.max(np.abs(res.theta - theta)) <= 1e-8
+    assert len(calls) == 0
+
+
+@pytest.mark.parametrize("kind", ["TU", "NTU", "ETU"])
+def test_cell_hessians_match_the_three_operand_einsum(kind):
+    # reference: H = -P^T D2d P per cell, with P the gradient of (u, v) in
+    # the cell's own variables (theta, a_x, b_y)
+    rng = np.random.default_rng(7)
+    X, Y, d = 5, 4, 3
+    spec = _random_spec(rng, kind, X, Y, d)
+    theta, a, b = rng.normal(0.0, 0.3, size=d), rng.normal(0.0, 0.3, size=X), rng.normal(0.0, 0.3, size=Y)
+    fam = spec.family(theta)
+    u = -a[:, None] - fam.alpha
+    v = -b[None, :] - fam.gamma
+    duu, duv, dvv = (np.broadcast_to(t, (X, Y)) for t in fam.distance.hess(u, v))
+    D2d = np.stack([duu, duv, duv, dvv], -1).reshape(X, Y, 2, 2)
+    P = np.zeros((X, Y, 2, d + 2))
+    P[:, :, 0, :d] = -np.moveaxis(spec.alpha_basis, 0, -1)
+    P[:, :, 1, :d] = -np.moveaxis(spec.gamma_basis, 0, -1)
+    P[:, :, 0, d] = P[:, :, 1, d + 1] = -1.0
+    ref = -np.einsum("xyik,xyij,xyjl->xykl", P, D2d, P)
+
+    _, _, H, _ = _cell_blocks(spec, theta, a, b, hessian=True)
+    assert H.shape == (X, Y, d + 2, d + 2)
+    assert np.all(np.abs(H - ref) <= 1e-14 * (1.0 + np.abs(ref)))
+    if kind == "ETU":
+        assert np.max(np.abs(ref)) > 0.1
 
 
 def test_mpec_degenerate_data():
