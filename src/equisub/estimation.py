@@ -442,16 +442,17 @@ def mpec_residual(
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    d = spec.dim
     X, Y = spec.table_shape
-    nv = d + X + Y
-    R = X + Y + 1
-    if lam.shape != (R,):
-        raise DimensionMismatch(f"expected {R} multipliers")
+    if lam.shape != (X + Y + 1,):
+        raise DimensionMismatch(f"expected {X + Y + 1} multipliers")
+    return _kkt_system(spec, mu_hat, lam, _first_order(spec, theta, a, b, mu_hat, norm, K, hessian=True))
 
-    G, DG, Dl, (M, g, H, idx, DlogN) = _first_order(
-        spec, theta, a, b, mu_hat, norm, K, hessian=True
-    )
+
+def _kkt_system(spec: ThetaSpec, mu_hat: np.ndarray, lam: np.ndarray, first_order) -> Tuple[np.ndarray, np.ndarray]:
+    """mpec_residual's (Psi, J) from _first_order's output with Hessians."""
+    G, DG, Dl, (M, g, H, idx, DlogN) = first_order
+    X, Y = spec.table_shape
+    nv = DG.shape[1]
     N_hat = mu_hat.sum()
 
     # Lagrangian Hessian, cell by cell: sum mu_hat log M contributes
@@ -467,7 +468,7 @@ def mpec_residual(
     D2L = _scatter(pairs, blocks, nv * nv).reshape(nv, nv) + N_hat * np.outer(DlogN, DlogN)
 
     Psi = np.concatenate([Dl + lam @ DG, G])
-    J = np.zeros((nv + R, nv + R))
+    J = np.zeros((Psi.size, Psi.size))
     J[:nv, :nv] = D2L
     J[:nv, nv:] = DG.T
     J[nv:, :nv] = DG
@@ -518,11 +519,14 @@ def mpec_solve(
     theta = np.atleast_1d(np.asarray(theta0, dtype=float)).copy()
     a = np.asarray(a0, dtype=float).copy()
     b = np.asarray(b0, dtype=float).copy()
+    mu_hat = np.asarray(mu_hat, dtype=float)
     d, (X, Y) = spec.dim, spec.table_shape
-    lam = solve_multiplier(spec, mu_hat, norm, K, theta, a, b)
     z = np.concatenate([np.zeros(d + X + Y), _redundant_row(X, Y)])
 
-    Psi, J = mpec_residual(spec, mu_hat, norm, K, theta, a, b, lam)
+    # one first-order assembly gives the start multiplier and first residual
+    first = _first_order(spec, theta, a, b, mu_hat, norm, K, hessian=True)
+    lam = _multiplier(spec, first[1], first[2])
+    Psi, J = _kkt_system(spec, mu_hat, lam, first)
     rnorm = float(np.linalg.norm(Psi))
     for it in range(1, MPEC_MAX_ITER + 1):
         if rnorm <= MPEC_TOL:

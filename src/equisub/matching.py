@@ -19,6 +19,7 @@ from .errors import (
     DimensionMismatch,
     FamilyLacksTransfers,
     NoBracket,
+    NonFinite,
     NonpositiveMatch,
 )
 from .normalization import Normalization
@@ -26,7 +27,6 @@ from .roots import bisect, expand_bracket, newton
 from .solver import SolveReport, SolverOptions, solve_normalized
 from .system import Bounds, SubsolutionHints, SupplySystem
 
-FRONTIER_TOL = 1e-12  # bisection width of frontier_distance's d
 NEWTON_TOL = 1e-13  # |accounting error| at which a transfer sweep's root stops
 IPFP_MAX_STEPS = 10_000  # steps of one log-linear sweep; at the cap it
                          # returns its last iterate for solve_pinned to judge
@@ -42,8 +42,9 @@ class DistanceFamily:
 
     A transfer family's d measures how far the pair sits from the (shifted)
     feasible frontier, so d(u + t, v + t) = d(u, v) + t; NTU's DIST_SUM has
-    + 2t instead.  Derivatives are used by the estimation layer and fall
-    back to central differences when not supplied.
+    + 2t instead.  Derivatives feed the ETU/ITU sweep's Newton and the
+    estimation layer, and fall back to central differences when not
+    supplied.
     """
 
     d: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -108,31 +109,28 @@ def frontier_distance(
 ) -> DistanceFamily:
     """Distance family from a parametric feasibility frontier.
 
-    The frontier is the curve {(payoff_x(w), payoff_y(w))} traced by an
-    instrument w > 0, with payoff_x increasing and payoff_y decreasing.
-    d(u, v) is the unique t such that (u - t, v - t) lies on the curve,
-    found by bisection on t of payoff_y(payoff_x^{-1}(u - t)) - (v - t).
+    The frontier is the curve {(payoff_x(w), payoff_y(w))} traced by w in
+    w_bracket, payoff_x increasing and payoff_y decreasing.  d(u, v) is the
+    min over w of max(u - payoff_x(w), v - payoff_y(w)) (Galichon, Kominers
+    & Weber, JPE 2019), whose minimiser solves payoff_x(w) - payoff_y(w) =
+    u - v: one bisection on s = log w per cell, with d read at the ends of
+    its final bracket through the flatter payoff.  Beyond the curve's span,
+    d is the distance to its nearer end.  The slopes, which the ETU/ITU
+    sweep's Newton and the estimators use, are DistanceFamily's central
+    differences.  A payoff not finite at an end of w_bracket raises
+    NonFinite, since the bisection would read NaN as below the root.
     """
-
-    log_w_lo, log_w_hi = np.log(w_bracket)
-
-    def _x_inverse(target):
-        # bisection on log w: w spans many scales
-        log_w = bisect(lambda s: payoff_x(np.exp(s)) - target, log_w_lo, log_w_hi, 1e-15)[1]
-        return np.exp(log_w)
+    ends = np.asarray(w_bracket, dtype=float)
+    with np.errstate(all="ignore"):
+        if not (np.all(np.isfinite(payoff_x(ends))) and np.all(np.isfinite(payoff_y(ends)))):
+            raise NonFinite(f"frontier payoffs are not finite at the ends of w_bracket {w_bracket}")
 
     def d(u, v):
         u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
-
-        def h(t):
-            return payoff_y(_x_inverse(u - t)) - (v - t)
-
-        # h is increasing in t: both payoff_y(w(u - t)) and t - v rise with t;
-        # walk down and up from t = 0 for the two ends of the bracket
-        lo, _ = expand_bracket(h, np.zeros(u.shape), fx0=np.inf, closed=True)
-        _, hi = expand_bracket(h, np.zeros(u.shape), fx0=-np.inf)
-        lo, hi = bisect(h, lo, hi, FRONTIER_TOL)
-        return 0.5 * (lo + hi)
+        lo, hi = (np.full(u.shape, s) for s in np.log(ends))
+        lo, hi = bisect(lambda s: payoff_x(np.exp(s)) - payoff_y(np.exp(s)) - (u - v), lo, hi, np.finfo(float).eps)
+        w = np.exp(np.stack([lo, hi]))
+        return np.min(np.maximum(u - payoff_x(w), v - payoff_y(w)), axis=0)
 
     return DistanceFamily(d=d)
 
@@ -527,12 +525,8 @@ def identify_cross_differences(
     distance: DistanceFamily,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Cross differences of the preference tables from matches and transfers
-    alone; type-level fees cancel out of these combinations."""
-    mu = np.asarray(mu, dtype=float)
-    if np.any(mu <= 0):
-        raise NonpositiveMatch("observed match table must be strictly positive")
-    w = np.asarray(w, dtype=float)
-    zero = np.zeros_like(w)
-    d_alpha = cross_difference(np.log(mu) + distance.d(zero, -w))
-    d_gamma = cross_difference(np.log(mu) + distance.d(w, zero))
-    return d_alpha, d_gamma
+    alone; type-level fees cancel out of these combinations, so they are
+    the cross differences of identify_preferences' tables at zero fees."""
+    X, Y = np.shape(mu)
+    alpha, gamma = identify_preferences(mu, w, np.zeros(X), np.zeros(Y), distance)
+    return cross_difference(alpha), cross_difference(gamma)

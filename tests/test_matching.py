@@ -9,7 +9,7 @@ from scipy.optimize import root
 
 from equisub import normalization as nz
 from equisub import solver
-from equisub.errors import BalanceViolated, BracketNotFound, FamilyLacksTransfers, NoBracket
+from equisub.errors import BalanceViolated, BracketNotFound, FamilyLacksTransfers, NoBracket, NonFinite
 from equisub.matching import (
     DIST_AVERAGE,
     DIST_LOGMEAN,
@@ -120,34 +120,45 @@ def test_mfe_envelopes_equal_whole_table_values():
 # distance maps
 
 
+# the average and log-mean maps traced as frontiers: u + v = 0 by
+# (log w, -log w), and (e^u + e^v) / 2 = 1 by (log w, log(2 - w))
+FRONTIER_AVERAGE = frontier_distance(np.log, lambda w: -np.log(w))
+FRONTIER_LOGMEAN = frontier_distance(np.log, lambda w: np.log(2.0 - w), w_bracket=(1e-9, 2.0 - 1e-9))
+
+
 @given(u=finite, v=finite, t=finite)
 @settings(max_examples=200, deadline=None)
 def test_distance_translation_property(u, v, t):
-    # d(u + t, v + t) = d(u, v) + t for both transfer distance maps, and
+    # d(u + t, v + t) = d(u, v) + t for the transfer distance maps, and
     # + 2t for NTU's sum
-    for dist, k in ((DIST_AVERAGE, 1.0), (DIST_LOGMEAN, 1.0), (DIST_SUM, 2.0)):
+    families = ((DIST_AVERAGE, 1.0), (DIST_LOGMEAN, 1.0), (DIST_SUM, 2.0), (FRONTIER_AVERAGE, 1.0), (FRONTIER_LOGMEAN, 1.0))
+    for dist, k in families:
         lhs = dist.d(u + t, v + t)
         rhs = dist.d(u, v) + k * t
         assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(rhs))
 
 
 def test_frontier_distance_recovers_average():
-    # frontier u + v = 0, traced by (log w, -log w), gives the average map
-    dist = frontier_distance(lambda w: np.log(w), lambda w: -np.log(w))
     pairs = [(0.0, 0.0), (1.0, -0.5), (-2.0, 3.0)]
     for u, v in pairs:
-        assert dist.d(u, v) == pytest.approx(0.5 * (u + v), abs=1e-6)
+        assert FRONTIER_AVERAGE.d(u, v) == pytest.approx(0.5 * (u + v), abs=1e-12)
     u, v = np.array(pairs).T
-    assert dist.d(u, v) == pytest.approx(0.5 * (u + v), abs=1e-6)
+    assert FRONTIER_AVERAGE.d(u, v) == pytest.approx(0.5 * (u + v), abs=1e-12)
 
 
 def test_frontier_distance_recovers_logmean():
-    # frontier (e^u + e^v) / 2 = 1 traced by w -> (log w, log(2 - w))
-    dist = frontier_distance(
-        lambda w: np.log(w), lambda w: np.log(2.0 - w), w_bracket=(1e-9, 2.0 - 1e-9)
-    )
     for u, v in [(0.0, 0.0), (0.5, -0.25), (-1.0, 1.0)]:
-        assert dist.d(u, v) == pytest.approx(DIST_LOGMEAN.d(u, v), abs=1e-6)
+        assert FRONTIER_LOGMEAN.d(u, v) == pytest.approx(DIST_LOGMEAN.d(u, v), abs=1e-12)
+    # beyond the span of the truncated frontier, d is the distance to its
+    # nearer end, which lies within 1e-9 of the whole curve's
+    for u, v in [(30.0, 0.0), (0.0, 30.0)]:
+        assert FRONTIER_LOGMEAN.d(u, v) == pytest.approx(DIST_LOGMEAN.d(u, v), abs=1e-9)
+
+
+def test_frontier_distance_rejects_payoffs_not_finite_at_the_bracket():
+    # log(2 - w) is NaN at the default bracket's upper end w = 1e12
+    with pytest.raises(NonFinite):
+        frontier_distance(np.log, lambda w: np.log(2.0 - w))
 
 
 # ----------------------------------------------------------------------
@@ -296,6 +307,24 @@ def test_itu_with_numeric_derivatives_solves_etu_market(norm):
     eq_etu = solve_mfe(MarketPrimitives(family=etu_family(alpha, gamma), n=n, m=m), norm, 0.0)
     assert np.max(np.abs(eq_itu.mu - eq_etu.mu)) <= 1e-9
     assert np.allclose(eq_itu.mu.sum(axis=1), n, atol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "reference, distance", [(tu_family, FRONTIER_AVERAGE), (etu_family, FRONTIER_LOGMEAN)], ids=["TU", "ETU"]
+)
+def test_itu_frontier_market_recovers_planted_fees(reference, distance):
+    # a planted 2x2 market whose masses are the margins of the reference
+    # family's table at the planted fees; the ITU family on the frontier
+    # that traces the reference's distance must return those fees from a
+    # cold pinned solve at the planted pin b_0
+    rng = np.random.default_rng(2)
+    alpha, gamma = rng.normal(0.0, 0.5, (2, 2, 2))
+    a_star, b_star = rng.normal(0.0, 0.25, (2, 2))
+    mu = reference(alpha, gamma).match(a_star, b_star)
+    prim = MarketPrimitives(family=itu_family(alpha, gamma, distance), n=mu.sum(axis=1), m=mu.sum(axis=0))
+    system, q = build_mfe_system(prim)
+    rep = solver.solve_pinned(system, q, 2, b_star[0])
+    assert np.max(np.abs(rep.p_star - np.r_[-a_star, b_star])) <= 1e-8
 
 
 def test_etu_coordinate_psi_on_the_pin_continues_to_K():
