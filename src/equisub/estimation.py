@@ -84,6 +84,7 @@ class ThetaSpec:
             raise DimensionMismatch("alpha and gamma bases must share a shape")
         for name, value in (("alpha0", alpha0), ("gamma0", gamma0), ("alpha_basis", ab), ("gamma_basis", gb)):
             object.__setattr__(self, name, value)
+        self.family(np.zeros(d))  # MatchingFamily's checks of kind and distance, at construction
 
     @property
     def dim(self) -> int:
@@ -131,13 +132,10 @@ def _cell_blocks(spec: ThetaSpec, theta: np.ndarray, a: np.ndarray, b: np.ndarra
     d = spec.dim
     X, Y = spec.table_shape
     fam = spec.family(np.atleast_1d(theta))
-    m = fam.log_match(a, b)
     u = -a[:, None] - fam.alpha
     v = -b[None, :] - fam.gamma
-    dist = fam.distance
-    Dd = np.stack([np.broadcast_to(t, (X, Y)) for t in (dist.grad_u(u, v), dist.grad_v(u, v))], -1)
-    duu, duv, dvv = dist.hess(u, v)
-    D2d = np.stack([np.broadcast_to(t, (X, Y)) for t in (duu, duv, duv, dvv)], -1).reshape(X, Y, 2, 2)
+    dist, du, dv, duu, duv, dvv = (np.broadcast_to(t, (X, Y)) for t in fam.distance.evaluate(u, v))
+    Dd, D2d = np.stack([du, dv], -1), np.stack([duu, duv, duv, dvv], -1).reshape(X, Y, 2, 2)
 
     # P[x, y, i] is the gradient of (u, v)[i] in the cell's own variables
     P = np.zeros((X, Y, 2, d + 2))
@@ -150,7 +148,7 @@ def _cell_blocks(spec: ThetaSpec, theta: np.ndarray, a: np.ndarray, b: np.ndarra
     idx[:, :, :d] = np.arange(d)
     idx[:, :, d] = d + np.arange(X)[:, None]
     idx[:, :, d + 1] = d + X + np.arange(Y)
-    return m, g, H, idx
+    return -dist, g, H, idx
 
 
 def _scatter(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:

@@ -42,45 +42,31 @@ class DistanceFamily:
 
     A transfer family's d measures how far the pair sits from the (shifted)
     feasible frontier, so d(u + t, v + t) = d(u, v) + t; NTU's DIST_SUM has
-    + 2t instead.  Derivatives feed the ETU/ITU sweep's Newton and the
-    estimation layer, and fall back to central differences when not
-    supplied.
+    + 2t instead.  jet(u, v) returns (d, d_u, d_v, d_uu, d_uv, d_vv) from
+    one evaluation for the ETU/ITU sweep's Newton and the estimators.
     """
 
     d: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    du: Optional[Callable] = None
-    dv: Optional[Callable] = None
-    duu: Optional[Callable] = None
-    duv: Optional[Callable] = None
-    dvv: Optional[Callable] = None
+    jet: Optional[Callable] = None
 
-    def grad_u(self, u, v):
-        if self.du is not None:
-            return self.du(u, v)
-        h = 1e-6
-        return (self.d(u + h, v) - self.d(u - h, v)) / (2 * h)
-
-    def grad_v(self, u, v):
-        if self.dv is not None:
-            return self.dv(u, v)
-        h = 1e-6
-        return (self.d(u, v + h) - self.d(u, v - h)) / (2 * h)
-
-    def hess(self, u, v):
-        """(d_uu, d_uv, d_vv), numeric fallback."""
-        h = 1e-5
-        duu = self.duu(u, v) if self.duu else (self.grad_u(u + h, v) - self.grad_u(u - h, v)) / (2 * h)
-        duv = self.duv(u, v) if self.duv else (self.grad_u(u, v + h) - self.grad_u(u, v - h)) / (2 * h)
-        dvv = self.dvv(u, v) if self.dvv else (self.grad_v(u, v + h) - self.grad_v(u, v - h)) / (2 * h)
-        return duu, duv, dvv
+    def evaluate(self, u, v):
+        """The jet at (u, v), or central differences of d from one call on 11
+        points (steps 1e-6 and 1e-4, d_uv along the diagonal) when there is none."""
+        if self.jet is not None:
+            return self.jet(u, v)
+        h, k = 1e-6, 1e-4
+        steps = [(0, h, -h, 0, 0, k, -k, 0, 0, k, -k), (0, 0, 0, h, -h, 0, 0, k, -k, k, -k)]
+        su, sv = np.reshape(steps, (2, 11) + (1,) * np.broadcast(u, v).ndim)
+        f0, fu, fu_, fv, fv_, gu, gu_, gv, gv_, gp, gm = self.d(u + su, v + sv)
+        duu, dvv, diag = ((f + f_ - 2 * f0) / k**2 for f, f_ in ((gu, gu_), (gv, gv_), (gp, gm)))
+        return f0, (fu - fu_) / (2 * h), (fv - fv_) / (2 * h), duu, (diag - duu - dvv) / 2, dvv
 
 
 def _linear(s: float) -> DistanceFamily:
-    # d(u, v) = s(u + v): constant first and zero second derivatives
-    def const(c):
-        return lambda u, v: np.full(np.broadcast(u, v).shape, c)
-
-    return DistanceFamily(lambda u, v: s * (u + v), const(s), const(s), const(0.0), const(0.0), const(0.0))
+    return DistanceFamily(
+        lambda u, v: s * (u + v),
+        lambda u, v: (s * (u + v), *(np.full(np.broadcast(u, v).shape, c) for c in (s, s, 0.0, 0.0, 0.0))),
+    )
 
 
 DIST_AVERAGE = _linear(0.5)
@@ -92,14 +78,12 @@ def _d_logmean(u, v):
     return np.logaddexp(u, v) - np.log(2.0)
 
 
-DIST_LOGMEAN = DistanceFamily(
-    d=_d_logmean,
-    du=lambda u, v: expit(np.asarray(u, dtype=float) - np.asarray(v, dtype=float)),
-    dv=lambda u, v: expit(np.asarray(v, dtype=float) - np.asarray(u, dtype=float)),
-    duu=lambda u, v: expit(u - v) * expit(v - u),
-    duv=lambda u, v: -expit(u - v) * expit(v - u),
-    dvv=lambda u, v: expit(u - v) * expit(v - u),
-)
+def _jet_logmean(u, v):
+    du, dv = expit(u - v), expit(v - u)
+    return _d_logmean(u, v), du, dv, du * dv, -du * dv, du * dv
+
+
+DIST_LOGMEAN = DistanceFamily(_d_logmean, _jet_logmean)
 
 
 def frontier_distance(
@@ -112,27 +96,44 @@ def frontier_distance(
     The frontier is the curve {(payoff_x(w), payoff_y(w))} traced by w in
     w_bracket, payoff_x increasing and payoff_y decreasing.  d(u, v) is the
     min over w of max(u - payoff_x(w), v - payoff_y(w)) (Galichon, Kominers
-    & Weber, JPE 2019), whose minimiser solves payoff_x(w) - payoff_y(w) =
-    u - v: one bisection on s = log w per cell, with d read at the ends of
-    its final bracket through the flatter payoff.  Beyond the curve's span,
-    d is the distance to its nearer end.  The slopes, which the ETU/ITU
-    sweep's Newton and the estimators use, are DistanceFamily's central
-    differences.  A payoff not finite at an end of w_bracket raises
-    NonFinite, since the bisection would read NaN as below the root.
+    & Weber, JPE 2019), whose minimiser w* solves payoff_x(w) - payoff_y(w)
+    = u - v: one bisection on s = log w per cell, with d read at the ends of
+    its final bracket through the flatter payoff, or beyond the curve's span
+    at its nearer end.  The jet reads the rest at the same root: with A =
+    payoff_x', B = -payoff_y' (differences in s), d_u = B/(A+B), d_v =
+    A/(A+B) and the Hessian is (c, -c, c), c = (A B' - A' B)/(A+B)^3, in
+    any parametrisation; beyond the span (d_u, d_v) is (0, 1) or (1, 0) and
+    c = 0.  A payoff not finite at an end of w_bracket raises NonFinite,
+    since the bisection would read NaN as below the root.
     """
     ends = np.asarray(w_bracket, dtype=float)
     with np.errstate(all="ignore"):
         if not (np.all(np.isfinite(payoff_x(ends))) and np.all(np.isfinite(payoff_y(ends)))):
             raise NonFinite(f"frontier payoffs are not finite at the ends of w_bracket {w_bracket}")
+    s_lo, s_hi = np.log(ends)
+    D = np.array([[1, -8, 0, 8, -1], [-1, 16, -30, 16, -1]]) / 12  # 5-point first, second differences
 
-    def d(u, v):
-        u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
-        lo, hi = (np.full(u.shape, s) for s in np.log(ends))
-        lo, hi = bisect(lambda s: payoff_x(np.exp(s)) - payoff_y(np.exp(s)) - (u - v), lo, hi, np.finfo(float).eps)
-        w = np.exp(np.stack([lo, hi]))
-        return np.min(np.maximum(u - payoff_x(w), v - payoff_y(w)), axis=0)
+    def payoffs(u, v, stencil=False):
+        # both payoffs at the final bracket (lo, hi) and at a 5-point stencil around hi;
+        # near an end a payoff may be steep (log(2 - w)), so the step 1e-4 shrinks to
+        # 1/64 of hi's distance to the nearer end, to no less than 1e-9, and stays inside
+        gap = lambda s: payoff_x(np.exp(s)) - payoff_y(np.exp(s)) - (u - v)  # noqa: E731
+        lo, hi = bisect(gap, *(np.full(np.broadcast(u, v).shape, e) for e in (s_lo, s_hi)), np.finfo(float).eps)
+        r = np.clip(np.minimum(hi - s_lo, s_hi - hi) / 64, 1e-9, 1e-4)
+        s = [np.clip(hi, s_lo + 2 * r, s_hi - 2 * r) + t * r for t in (-2, -1, 0, 1, 2)] if stencil else []
+        px, py = (payoff(np.exp(np.stack([lo, hi, *s]))) for payoff in (payoff_x, payoff_y))
+        return np.min(np.maximum(u - px[:2], v - py[:2]), axis=0), px, py, r
 
-    return DistanceFamily(d=d)
+    def jet(u, v):
+        dist, px, py, r = payoffs(u, v, stencil=True)
+        (A, dA), (B, dB) = (np.tensordot(D, f[2:], 1) / np.stack([r, r * r]) for f in (px, -py))
+        # the root is below the span if the gap is >= 0 at lo, above if < 0 at hi
+        below, above = px[0] - py[0] >= u - v, px[1] - py[1] < u - v
+        du = np.where(below, 0.0, np.where(above, 1.0, B / (A + B)))
+        c = np.where(below | above, 0.0, (A * dB - dA * B) / (A + B) ** 3)
+        return dist, du, 1.0 - du, c, -c, c
+
+    return DistanceFamily(lambda u, v: payoffs(u, v)[0], jet)
 
 
 # ----------------------------------------------------------------------
@@ -184,9 +185,9 @@ class MatchingFamily:
             raise DimensionMismatch(f"{self.kind} family needs alpha and gamma tables of one shape")
         if not traits.transfers:
             alpha, gamma = alpha + gamma, np.zeros_like(alpha)
-        distance = traits.distance or self.distance
-        if distance is None:
-            raise DimensionMismatch("ITU family needs an explicit distance map")
+        distance = traits.distance or self.distance  # its own map passes, for dataclasses.replace
+        if distance is None or self.distance not in (None, distance):
+            raise DimensionMismatch(f"{self.kind} family: only ITU takes a distance map, and ITU needs one")
         for name, value in (("alpha", alpha), ("gamma", gamma), ("distance", distance)):
             object.__setattr__(self, name, value)
         object.__setattr__(self, "transfers", self.transfers and traits.transfers)
@@ -285,18 +286,19 @@ def _itu_sweep(fam: MatchingFamily, X: int, Y: int):
     column's only its b_y (the block structure of the ITU IPFP of Galichon,
     Kominers & Weber, JPE 2019).  The sweep solves all free rows from p's b,
     then all free columns from the new a, each block as one expand_bracket
-    walk and one roots.newton on the distance's slopes.  A target out of
-    reach (ETU saturates) raises NoBracket naming its system coordinate.
+    walk and one roots.newton on the slopes of the distance's jet.  A
+    target out of reach (ETU saturates) raises NoBracket naming its system
+    coordinate.
     """
     dist = fam.distance
 
-    def solve(coords, goal, start, payoffs, grad):
-        # one fee t_i per coordinate i with sum_j M = goal_i, where
-        # payoffs(t) gives the (u, v) tables whose row i holds i's cells
+    def solve(coords, goal, start, payoffs, side):
+        # one fee t_i per coordinate i with sum_j M = goal_i, where payoffs(t)
+        # gives the (u, v) tables whose row i holds i's cells; jet[side] is d_u or d_v
         def section(t):
-            uv = payoffs(t)
-            M = np.exp(-dist.d(*uv))
-            return M.sum(axis=1) - goal, (M * grad(*uv)).sum(axis=1)
+            jet = dist.evaluate(*payoffs(t))
+            M = np.exp(-jet[0])
+            return M.sum(axis=1) - goal, (M * jet[side]).sum(axis=1)
 
         try:
             lo, hi = expand_bracket(lambda t: section(t)[0], start)
@@ -311,10 +313,10 @@ def _itu_sweep(fam: MatchingFamily, X: int, Y: int):
         p_new = p.copy()
         # rows: sum_y M(a_x, b_y) = n_x = -q_x in a_x = -p_x, given p's b
         v = -p[X:] - fam.gamma[rows]
-        p_new[rows] = -solve(rows, -q[rows], -p[rows], lambda t: (-t[:, None] - fam.alpha[rows], v), dist.grad_u)
+        p_new[rows] = -solve(rows, -q[rows], -p[rows], lambda t: (-t[:, None] - fam.alpha[rows], v), 1)
         # columns: sum_x M(a_x, b_y) = m_y = q_y in b_y = p_y, given the new a
         u, gamma = p_new[:X] - fam.alpha[:, cols - X].T, fam.gamma[:, cols - X].T
-        p_new[cols] = solve(cols, q[cols], p[cols], lambda t: (u, -t[:, None] - gamma), dist.grad_v)
+        p_new[cols] = solve(cols, q[cols], p[cols], lambda t: (u, -t[:, None] - gamma), 2)
         return p_new
 
     return sweep

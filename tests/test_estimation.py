@@ -23,11 +23,14 @@ from equisub.estimation import (
     solve_multiplier,
     tu_surplus_spec,
 )
-from equisub.matching import MarketPrimitives, solve_mfe
+from equisub import matching
+from equisub.matching import MarketPrimitives, etu_family, frontier_distance, solve_mfe
 from equisub.solver import SolverOptions
 
 DIAG = np.array([[[1.0, 0.0], [0.0, 1.0]]])  # single diagonal-surplus direction
 ONES2 = np.ones((2,))
+# ETU's log-mean distance traced as a frontier: (e^u + e^v) / 2 = 1
+FRONTIER_LOGMEAN = frontier_distance(np.log, lambda w: np.log(2.0 - w), w_bracket=(1e-9, 2.0 - 1e-9))
 
 
 def nested_loglik(spec, theta, mu_hat, norm, K, opts=SolverOptions()):
@@ -261,6 +264,7 @@ def _random_spec(rng, kind, X, Y, d):
     return ThetaSpec(
         kind=kind, alpha0=rng.normal(0.0, 0.3, size=(X, Y)), gamma0=rng.normal(0.0, 0.3, size=(X, Y)),
         alpha_basis=basis, gamma_basis=rng.normal(0.0, 0.5, size=(d, X, Y)),
+        distance=FRONTIER_LOGMEAN if kind == "ITU" else None,
     )
 
 
@@ -335,7 +339,7 @@ def test_mpec_solve_makes_no_least_squares_call(kind, monkeypatch):
     assert len(calls) == 0
 
 
-@pytest.mark.parametrize("kind", ["TU", "NTU", "ETU"])
+@pytest.mark.parametrize("kind", ["TU", "NTU", "ETU", "ITU"])
 def test_cell_hessians_match_the_three_operand_einsum(kind):
     # reference: H = -P^T D2d P per cell, with P the gradient of (u, v) in
     # the cell's own variables (theta, a_x, b_y)
@@ -346,7 +350,7 @@ def test_cell_hessians_match_the_three_operand_einsum(kind):
     fam = spec.family(theta)
     u = -a[:, None] - fam.alpha
     v = -b[None, :] - fam.gamma
-    duu, duv, dvv = (np.broadcast_to(t, (X, Y)) for t in fam.distance.hess(u, v))
+    duu, duv, dvv = (np.broadcast_to(t, (X, Y)) for t in fam.distance.evaluate(u, v)[3:])
     D2d = np.stack([duu, duv, duv, dvv], -1).reshape(X, Y, 2, 2)
     P = np.zeros((X, Y, 2, d + 2))
     P[:, :, 0, :d] = -np.moveaxis(spec.alpha_basis, 0, -1)
@@ -357,8 +361,40 @@ def test_cell_hessians_match_the_three_operand_einsum(kind):
     _, _, H, _ = _cell_blocks(spec, theta, a, b, hessian=True)
     assert H.shape == (X, Y, d + 2, d + 2)
     assert np.all(np.abs(H - ref) <= 1e-14 * (1.0 + np.abs(ref)))
-    if kind == "ETU":
+    if kind in ("ETU", "ITU"):
         assert np.max(np.abs(ref)) > 0.1
+
+
+def test_frontier_cell_blocks_make_one_root_solve(monkeypatch):
+    # one jet evaluation gives log M, the slopes and the curvature of every
+    # cell from the frontier's one bisection
+    rng = np.random.default_rng(7)
+    spec = _random_spec(rng, "ITU", 10, 10, 3)
+    theta, a, b = rng.normal(0.0, 0.3, size=3), rng.normal(0.0, 0.3, size=10), rng.normal(0.0, 0.3, size=10)
+    calls = []
+    bisect = matching.bisect
+    monkeypatch.setattr(matching, "bisect", lambda *args: calls.append(1) or bisect(*args))
+    _cell_blocks(spec, theta, a, b, hessian=True)
+    assert len(calls) == 1
+
+
+def test_mpec_solve_recovers_planted_etu_as_itu_on_its_frontier():
+    # noiseless matches planted by ETU at 4x4, d = 2, fit as ITU on the
+    # frontier that traces ETU's distance
+    rng = np.random.default_rng(29)
+    X = Y = 4
+    d = 2
+    spec = _random_spec(rng, "ITU", X, Y, d)
+    theta, a, b = rng.normal(0.0, 0.3, size=d), rng.normal(0.0, 0.3, size=X), rng.normal(0.0, 0.3, size=Y)
+    fam = spec.family(theta)
+    mu_hat = etu_family(fam.alpha, fam.gamma).match(a, b)
+    K = float(np.concatenate([-a, b]).mean())
+    res = mpec_solve(
+        spec, mu_hat, nz.mean(), K,
+        theta + 0.2 * rng.normal(size=d), a + 0.1 * rng.normal(size=X), b + 0.1 * rng.normal(size=Y),
+    )
+    assert res.residual_norm <= 1e-10
+    assert np.max(np.abs(res.theta - theta)) <= 1e-10
 
 
 def test_mpec_degenerate_data():

@@ -7,15 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import root
 
+from equisub import matching, solver
 from equisub import normalization as nz
-from equisub import solver
-from equisub.errors import BalanceViolated, BracketNotFound, FamilyLacksTransfers, NoBracket, NonFinite
+from equisub.errors import BalanceViolated, BracketNotFound, DimensionMismatch, FamilyLacksTransfers, NoBracket, NonFinite
+from equisub.estimation import ThetaSpec
 from equisub.matching import (
     DIST_AVERAGE,
     DIST_LOGMEAN,
     DIST_SUM,
     DistanceFamily,
     MarketPrimitives,
+    MatchingFamily,
     _d_logmean,
     build_mfe_system,
     comparative_statics_K,
@@ -155,6 +157,25 @@ def test_frontier_distance_recovers_logmean():
         assert FRONTIER_LOGMEAN.d(u, v) == pytest.approx(DIST_LOGMEAN.d(u, v), abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "frontier, closed_form", [(FRONTIER_AVERAGE, DIST_AVERAGE), (FRONTIER_LOGMEAN, DIST_LOGMEAN)], ids=["average", "logmean"]
+)
+def test_frontier_jet_matches_the_closed_forms(frontier, closed_form):
+    # (d, d_u, d_v, d_uu, d_uv, d_vv) from the one root per cell, against
+    # the closed forms: at random points, along u - v up to the ends of the
+    # log-mean frontier's span (+-21.4), where log(2 - w) is steep, and
+    # beyond the span
+    u, v = np.random.default_rng(5).normal(0.0, 2.0, (2, 500))
+    line = np.linspace(-20.0, 20.0, 4001)
+    for u, v, d_tol in ((u, v, 1e-12), (line, 0.0 * line, 1e-12), (np.array([30.0, 0.0]), np.array([0.0, 30.0]), 1e-9)):
+        jet, ref = frontier.evaluate(u, v), closed_form.evaluate(u, v)
+        assert np.max(np.abs(jet[0] - ref[0])) <= d_tol
+        assert np.max(np.abs(np.stack(jet[1:3]) - np.stack(ref[1:3]))) <= 2e-9
+        assert np.max(np.abs(np.stack(jet[3:]) - np.stack(ref[3:]))) <= 1e-6
+        assert np.max(np.abs(jet[1] + jet[2] - 1.0)) <= 1e-15
+        assert np.array_equal(jet[0], frontier.d(u, v))
+
+
 def test_frontier_distance_rejects_payoffs_not_finite_at_the_bracket():
     # log(2 - w) is NaN at the default bracket's upper end w = 1e12
     with pytest.raises(NonFinite):
@@ -163,6 +184,19 @@ def test_frontier_distance_rejects_payoffs_not_finite_at_the_bracket():
 
 # ----------------------------------------------------------------------
 # market construction
+
+
+@pytest.mark.parametrize("kind", ["TU", "NTU", "ETU"])
+def test_distance_given_to_a_kind_with_its_own_is_rejected(kind):
+    # TU, NTU and ETU fix their distance map: a distance passed with them
+    # would otherwise be dropped without a word.  Their own map passes, as
+    # dataclasses.replace hands it back
+    tables = np.zeros((2, 2, 2))
+    assert replace(MatchingFamily(kind, *tables), alpha=tables[1]).distance is MatchingFamily(kind, *tables).distance
+    with pytest.raises(DimensionMismatch):
+        MatchingFamily(kind, *tables, distance=FRONTIER_LOGMEAN)
+    with pytest.raises(DimensionMismatch):
+        ThetaSpec(kind=kind, alpha0=tables[0], alpha_basis=tables, distance=FRONTIER_LOGMEAN)
 
 
 def test_unbalanced_masses_rejected():
@@ -325,6 +359,21 @@ def test_itu_frontier_market_recovers_planted_fees(reference, distance):
     system, q = build_mfe_system(prim)
     rep = solver.solve_pinned(system, q, 2, b_star[0])
     assert np.max(np.abs(rep.p_star - np.r_[-a_star, b_star])) <= 1e-8
+
+
+def test_itu_frontier_sweep_makes_one_root_solve_per_section(monkeypatch):
+    # each section evaluation of a frontier ITU sweep, in the bracket walk
+    # and in every Newton step, is one jet call and one bisection per block
+    rng = np.random.default_rng(2)
+    alpha, gamma = rng.normal(0.0, 0.5, (2, 3, 3))
+    jets, roots = [], []
+    frontier_jet, bisect = FRONTIER_LOGMEAN.jet, matching.bisect
+    dist = DistanceFamily(FRONTIER_LOGMEAN.d, lambda u, v: jets.append(1) or frontier_jet(u, v))
+    system, q = build_mfe_system(MarketPrimitives(family=itu_family(alpha, gamma, dist), n=np.ones(3), m=np.ones(3)))
+    monkeypatch.setattr(matching, "bisect", lambda *args: roots.append(1) or bisect(*args))
+    p = system.sweep_solver(q, np.zeros(6), 3)
+    assert np.all(np.isfinite(p)) and len(jets) > 2
+    assert len(roots) == len(jets)
 
 
 def test_etu_coordinate_psi_on_the_pin_continues_to_K():
