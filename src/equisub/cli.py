@@ -3,8 +3,9 @@
 Subcommands: match (matching equilibrium), invert (demand inversion),
 estimate (mle / gmm), check (structure probes).  Each reads a JSON config,
 writes CSV results plus a JSON report with a schema_version field, and
-maps failures onto exit codes: 1 config error, 2 solver or optimizer
-failure, 3 failed diagnostics.
+maps failures onto exit codes: 2 for an errors.SolverFailure (no
+equilibrium or estimate found), 1 for a config error or any other package
+error, 3 for failed diagnostics.
 """
 from __future__ import annotations
 
@@ -22,29 +23,10 @@ from . import diagnostics as dg
 from . import estimation as est
 from . import matching as mt
 from . import normalization as nm
-from .errors import (
-    BracketNotFound,
-    EnvelopeNotDownwardResponsive,
-    EquisubError,
-    MaxIterExceeded,
-    NoBracket,
-    OptimizerStalled,
-    SingularConstraintJacobian,
-    SingularWeight,
-)
+from .errors import EquisubError, SolverFailure
 from .solver import SolverOptions
 
 SCHEMA_VERSION = 1
-
-SOLVER_ERRORS = (
-    NoBracket,
-    EnvelopeNotDownwardResponsive,
-    MaxIterExceeded,
-    BracketNotFound,
-    OptimizerStalled,
-    SingularConstraintJacobian,
-    SingularWeight,
-)
 
 
 class ConfigError(Exception):
@@ -106,32 +88,21 @@ def _solve_block(rep, verbose):
     return block
 
 
-def _read_market_csv(path):
-    rows = []
+def _read_table(path, columns, fill):
+    """Pivot the x, y rows of a CSV file into one (X, Y) table per name in
+    columns that the header has; a cell without a row keeps fill.  Returns
+    the sorted x types, the sorted y types and the tables by name."""
     with open(path) as fh:
         reader = csv.DictReader(fh)
-        for row in reader:
-            rows.append(row)
-    if not rows:
-        raise ConfigError(f"empty market file {path}")
-    xs = sorted({int(r["x"]) for r in rows})
-    ys = sorted({int(r["y"]) for r in rows})
-    X, Y = len(xs), len(ys)
-    has_phi = "phi" in rows[0]
-    phi = np.full((X, Y), np.nan) if has_phi else None
-    alpha = None if has_phi else np.full((X, Y), np.nan)
-    gamma = None if has_phi else np.full((X, Y), np.nan)
-    for r in rows:
-        i, j = xs.index(int(r["x"])), ys.index(int(r["y"]))
-        if has_phi:
-            phi[i, j] = float(r["phi"])
-        else:
-            alpha[i, j] = float(r["alpha"])
-            gamma[i, j] = float(r["gamma"])
-    for tbl in (phi, alpha, gamma):
-        if tbl is not None and np.any(np.isnan(tbl)):
-            raise ConfigError("market file misses some (x, y) pairs")
-    return xs, ys, phi, alpha, gamma
+        names = [c for c in columns if c in (reader.fieldnames or ())]
+        rows = [(int(r["x"]), int(r["y"]), [float(r[c]) for c in names]) for r in reader]
+    xs = sorted({x for x, _, _ in rows})
+    ys = sorted({y for _, y, _ in rows})
+    tables = {c: np.full((len(xs), len(ys)), fill) for c in names}
+    for x, y, values in rows:
+        for c, v in zip(names, values):
+            tables[c][xs.index(x), ys.index(y)] = v
+    return xs, ys, tables
 
 
 def _read_masses_csv(path, xs, ys):
@@ -152,22 +123,35 @@ def _read_masses_csv(path, xs, ys):
     return n, m
 
 
-def _family_from_config(cfg, phi, alpha, gamma):
-    kind = cfg["kind"].upper()
+def _market_from_config(cfg):
+    """The x types, y types and MarketPrimitives of a matching config: the
+    market file has a phi column or alpha and gamma columns, never both."""
+    path = cfg["market_csv"]
+    xs, ys, tables = _read_table(path, ("phi", "alpha", "gamma"), np.nan)
+    if not xs:
+        raise ConfigError(f"empty market file {path}")
+    if "phi" in tables and len(tables) > 1:
+        split = ", ".join(c for c in tables if c != "phi")
+        raise ConfigError(f"market file {path} has phi and {split} columns: give phi or alpha and gamma")
+    if any(np.isnan(tbl).any() for tbl in tables.values()):
+        raise ConfigError("market file misses some (x, y) pairs")
+    n, m = _read_masses_csv(cfg["masses_csv"], xs, ys)
+    family = cfg.get("family", {"kind": "TU"})
+    kind = family["kind"].upper()
     if kind not in ("TU", "NTU", "ETU"):
-        raise ConfigError(f"unsupported family kind {cfg['kind']!r}")
-    if alpha is not None:
-        return mt.MatchingFamily(kind=kind, alpha=alpha, gamma=gamma)
-    if kind == "ETU":
+        raise ConfigError(f"unsupported family kind {family['kind']!r}")
+    if "phi" not in tables:
+        fam = mt.MatchingFamily(kind=kind, alpha=tables["alpha"], gamma=tables["gamma"])
+    elif kind == "ETU":
         raise ConfigError("ETU needs alpha and gamma columns")
-    return mt.tu_family(phi=phi) if kind == "TU" else mt.ntu_family(phi)
+    else:
+        fam = mt.tu_family(phi=tables["phi"]) if kind == "TU" else mt.ntu_family(tables["phi"])
+    return xs, ys, mt.MarketPrimitives(family=fam, n=n, m=m)
 
 
 def cmd_match(cfg, out_dir, args):
-    xs, ys, phi, alpha, gamma = _read_market_csv(cfg["market_csv"])
-    n, m = _read_masses_csv(cfg["masses_csv"], xs, ys)
-    fam = _family_from_config(cfg.get("family", {"kind": "TU"}), phi, alpha, gamma)
-    prim = mt.MarketPrimitives(family=fam, n=n, m=m)
+    xs, ys, prim = _market_from_config(cfg)
+    fam = prim.family
     norm = _norm_from_config(cfg.get("normalization", {}))
     K = float(cfg.get("K", 0.0))
     opts = _opts_from_config(cfg)
@@ -218,17 +202,17 @@ def _model_from_config(cfg, dim, seed):
     raise ConfigError(f"unknown demand family {fam!r}")
 
 
-def _read_shares_csv(path):
-    goods, values = [], []
+def _read_columns(path, columns):
+    """The good column of a per-good CSV file and one float array per name
+    in columns."""
     with open(path) as fh:
-        for row in csv.DictReader(fh):
-            goods.append(row["good"])
-            values.append(float(row["share"]))
-    return goods, np.asarray(values)
+        rows = list(csv.DictReader(fh))
+    goods = [r["good"] for r in rows]
+    return goods, [np.array([float(r[c]) for r in rows]) for c in columns]
 
 
 def cmd_invert(cfg, out_dir, args):
-    goods, s = _read_shares_csv(cfg["shares_csv"])
+    goods, (s,) = _read_columns(cfg["shares_csv"], ["share"])
     model = _model_from_config(cfg.get("model", {}), s.size, args.seed)
     norm = _norm_from_config(cfg.get("normalization", {}))
     K = float(cfg.get("K", 0.0))
@@ -254,19 +238,6 @@ def cmd_invert(cfg, out_dir, args):
     return 0
 
 
-def _read_matches_csv(path):
-    rows = []
-    with open(path) as fh:
-        for row in csv.DictReader(fh):
-            rows.append((int(row["x"]), int(row["y"]), float(row["count"])))
-    xs = sorted({r[0] for r in rows})
-    ys = sorted({r[1] for r in rows})
-    mu = np.zeros((len(xs), len(ys)))
-    for x, y, c in rows:
-        mu[xs.index(x), ys.index(y)] = c
-    return mu
-
-
 def cmd_estimate(cfg, out_dir, args):
     mode = cfg.get("mode", "mle")
     norm = _norm_from_config(cfg.get("normalization", {}))
@@ -274,7 +245,8 @@ def cmd_estimate(cfg, out_dir, args):
     theta0 = np.asarray(cfg.get("theta0", [0.0]), dtype=float)
 
     if mode == "mle":
-        mu_hat = _read_matches_csv(cfg["matches_csv"])
+        _, _, tables = _read_table(cfg["matches_csv"], ("count",), 0.0)
+        mu_hat = tables["count"]
         sp = cfg["spec"]
         kind = sp.get("kind", "TU").upper()
         if kind == "TU":
@@ -308,14 +280,7 @@ def cmd_estimate(cfg, out_dir, args):
         return 0
 
     if mode == "gmm":
-        data = []
-        with open(cfg["data_csv"]) as fh:
-            for row in csv.DictReader(fh):
-                data.append((row["good"], float(row["share"]), float(row["x1"]), float(row["x2"]), float(row["y"])))
-        s = np.array([r[1] for r in data])
-        x1 = np.array([r[2] for r in data])
-        x2 = np.array([r[3] for r in data])
-        y = np.array([r[4] for r in data])
+        _, (s, x1, x2, y) = _read_columns(cfg["data_csv"], ["share", "x1", "x2", "y"])
         model = _model_from_config(cfg.get("model", {}), s.size, args.seed)
         gfam = dm.linear_g()
         opts = _opts_from_config(cfg) if "tolerances" in cfg else None
@@ -339,13 +304,9 @@ def cmd_estimate(cfg, out_dir, args):
 def cmd_check(cfg, out_dir, args):
     target = cfg.get("target", "matching")
     if target == "matching":
-        xs, ys, phi, alpha, gamma = _read_market_csv(cfg["market_csv"])
-        n, m = _read_masses_csv(cfg["masses_csv"], xs, ys)
-        fam = _family_from_config(cfg.get("family", {"kind": "TU"}), phi, alpha, gamma)
-        prim = mt.MarketPrimitives(family=fam, n=n, m=m)
-        system, q = mt.build_mfe_system(prim)
+        system, q = mt.build_mfe_system(_market_from_config(cfg)[2])
     elif target == "demand":
-        goods, s = _read_shares_csv(cfg["shares_csv"])
+        _, (s,) = _read_columns(cfg["shares_csv"], ["share"])
         model = _model_from_config(cfg.get("model", {}), s.size, args.seed)
         system = dm.build_demand_system(model)
         q = s
@@ -424,7 +385,7 @@ def main(argv=None) -> int:
     except (ConfigError, KeyError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except SOLVER_ERRORS as exc:
+    except SolverFailure as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 2
     except EquisubError as exc:

@@ -242,15 +242,8 @@ def brute_force_solve(
 
     if system.eval_batch is not None:
         Q = np.asarray(system.eval_batch(P), dtype=float)
-        res = np.max(np.abs(Q - q[None, :]), axis=1)
-        best = int(np.argmin(res))
-        return P[best], float(res[best])
-
-    best_res = np.inf
-    best_p = None
-    for row in P:
-        res = float(np.max(np.abs(np.asarray(system.eval_fn(row), dtype=float) - q)))
-        if res < best_res:
-            best_res = res
-            best_p = row.copy()
-    return best_p, best_res
+    else:
+        Q = np.array([system.eval_fn(row) for row in P], dtype=float)
+    res = np.max(np.abs(Q - q[None, :]), axis=1)
+    best = int(np.argmin(res))
+    return P[best], float(res[best])

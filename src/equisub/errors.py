@@ -1,8 +1,18 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package.
+
+Every error derives from EquisubError.  The solver and optimizer failures,
+where the inputs are valid but no equilibrium or estimate was found, derive
+from SolverFailure; the command-line front end exits 2 on these and 1 on
+any other EquisubError.
+"""
 
 
 class EquisubError(Exception):
     """Base class for all package-specific errors."""
+
+
+class SolverFailure(EquisubError):
+    """Base class for failures to find a solution or an estimate."""
 
 
 class DimensionMismatch(EquisubError):
@@ -21,7 +31,7 @@ class BalanceViolated(EquisubError):
     """Aggregate output does not sum to the balance constant."""
 
 
-class NoBracket(EquisubError):
+class NoBracket(SolverFailure):
     """A scalar equation could not be bracketed within the admissible interval."""
 
     def __init__(self, msg, coordinate=None, last_value=None):
@@ -35,11 +45,11 @@ class HintsMissing(EquisubError):
     """No usable construction hints for a starting point below the solution."""
 
 
-class EnvelopeNotDownwardResponsive(EquisubError):
+class EnvelopeNotDownwardResponsive(SolverFailure):
     """An upper-envelope map could not be pushed below its target."""
 
 
-class MaxIterExceeded(EquisubError):
+class MaxIterExceeded(SolverFailure):
     """Iteration cap hit before convergence; carries the best iterate found."""
 
     def __init__(self, msg, report=None):
@@ -47,7 +57,7 @@ class MaxIterExceeded(EquisubError):
         self.report = report
 
 
-class BracketNotFound(EquisubError):
+class BracketNotFound(SolverFailure):
     """Geometric expansion failed to straddle the target normalization level."""
 
 
@@ -79,7 +89,7 @@ class ZeroPredictedCell(EquisubError):
     """A predicted frequency is zero on a cell with positive observed count."""
 
 
-class OptimizerStalled(EquisubError):
+class OptimizerStalled(SolverFailure):
     """The outer optimizer stopped without a usable stationary point."""
 
     def __init__(self, msg, theta=None, value=None):
@@ -88,9 +98,9 @@ class OptimizerStalled(EquisubError):
         self.value = value
 
 
-class SingularConstraintJacobian(EquisubError):
+class SingularConstraintJacobian(SolverFailure):
     """Constraint Jacobian too ill-conditioned for implicit differentiation."""
 
 
-class SingularWeight(EquisubError):
+class SingularWeight(SolverFailure):
     """GMM weighting matrix is singular or nonfinite."""

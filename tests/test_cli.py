@@ -5,12 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from equisub import matching
+from equisub import errors, matching
 from equisub import normalization as nz
 from equisub import solver
 from equisub.cli import main
 from equisub.demand import demand_mc, invert_demand, logit_mc_model, logit_model
-from equisub.errors import EnvelopeNotDownwardResponsive
 from equisub.estimation import predicted_frequencies, tu_surplus_spec
 from equisub.solver import SolverOptions
 
@@ -97,16 +96,34 @@ def test_match_unbalanced_masses_is_config_failure(tmp_path):
     assert main(["match", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
 
 
-def test_match_envelope_failure_is_solver_failure(tmp_path, monkeypatch):
+SOLVER_FAILURES = {
+    "SolverFailure",
+    "NoBracket",
+    "EnvelopeNotDownwardResponsive",
+    "MaxIterExceeded",
+    "BracketNotFound",
+    "OptimizerStalled",
+    "SingularConstraintJacobian",
+    "SingularWeight",
+}
+ERROR_CLASSES = [
+    c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, errors.EquisubError)
+]
+
+
+@pytest.mark.parametrize("error", ERROR_CLASSES, ids=lambda c: c.__name__)
+def test_match_envelope_failure_is_solver_failure(tmp_path, monkeypatch, error):
+    # every package error exits 1, except a SolverFailure, which exits 2
     def fail(*args, **kwargs):
-        raise EnvelopeNotDownwardResponsive("envelope stays above its target")
+        raise error("no equilibrium found")
 
     monkeypatch.setattr(matching, "solve_mfe", fail)
     cfg = write_json(tmp_path / "cfg.json", {
         "market_csv": write_market(tmp_path, [[0.0, 0.0], [0.0, 0.0]]),
         "masses_csv": write_masses(tmp_path, [1.0, 1.0], [1.0, 1.0]),
     })
-    assert main(["match", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    code = 2 if error.__name__ in SOLVER_FAILURES else 1
+    assert main(["match", "--config", cfg, "--out", str(tmp_path / "out")]) == code
 
 
 def write_split_market(tmp_path, alpha, gamma):
@@ -148,6 +165,18 @@ def test_match_reads_alpha_gamma_columns(tmp_path, kind):
         eq = matching.solve_mfe(matching.MarketPrimitives(fam, n, m), nz.mean(), K)
         w = np.array([float(r["w"]) for r in rows]).reshape(2, 2)
         assert np.array_equal(w, matching.recover_transfers(fam, eq))
+
+
+@pytest.mark.parametrize("kind", ["TU", "ETU"])
+def test_match_rejects_phi_beside_alpha_gamma_columns(tmp_path, capsys, kind):
+    rows = [(x, y, 0.0, 0.0, 0.0) for x in range(2) for y in range(2)]
+    cfg = write_json(tmp_path / "cfg.json", {
+        "market_csv": write_csv(tmp_path / "market.csv", ["x", "y", "phi", "alpha", "gamma"], rows),
+        "masses_csv": write_masses(tmp_path, [1.0, 1.0], [1.0, 1.0]),
+        "family": {"kind": kind},
+    })
+    assert main(["match", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert "has phi and alpha, gamma columns" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------

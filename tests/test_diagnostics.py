@@ -159,6 +159,17 @@ def test_grid_reference_logit_matches_log_odds():
     assert np.max(np.abs(p[1:] - (-LN2))) <= 1e-3 + 1e-12
 
 
+def test_grid_reference_without_eval_batch_matches_batched():
+    # row by row through eval_fn finds the same first minimum as eval_batch
+    system = build_demand_system(logit_model(3))
+    s = np.array([0.5, 0.25, 0.25])
+    grid = GridSpec(lows=np.full(2, -2.0), highs=np.full(2, 1.0), step=0.05)
+    p, res = brute_force_solve(system, s, 0, 0.0, grid)
+    p_rows, res_rows = brute_force_solve(dataclasses.replace(system, eval_batch=None), s, 0, 0.0, grid)
+    assert np.array_equal(p_rows, p)
+    assert res_rows == res
+
+
 def test_grid_cap_enforced():
     system = build_demand_system(logit_model(4))
     grid = GridSpec(lows=np.full(3, -5.0), highs=np.full(3, 5.0), step=1e-3, cap=10_000)

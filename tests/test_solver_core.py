@@ -14,12 +14,14 @@ from equisub.errors import (
     DimensionMismatch,
     EnvelopeNotDownwardResponsive,
     HintsMissing,
+    MaxIterExceeded,
     NoBracket,
     NonFinite,
     NotDiagonallyStrict,
     OutOfBounds,
 )
 from equisub.normalization import (
+    Normalization,
     coordinate,
     max_coordinate,
     mean,
@@ -424,6 +426,21 @@ def test_solve_pinned_names_a_sweep_root_outside_the_box():
     assert info.value.report.iterations == 1
 
 
+def test_solve_pinned_ends_unconverged_at_a_fixed_point_above_tolerance():
+    # a sweep that returns its input makes step 0 at once: the residual alone
+    # decides, and 1e-3 is far above tol_outer
+    system = SupplySystem(
+        dim=2,
+        eval_fn=lambda p: np.array([p[0] - p[1], p[1] - p[0]]),
+        bounds=Bounds.unbounded(2),
+        sweep_solver=lambda q, p, pin: p,
+    )
+    with pytest.raises(MaxIterExceeded) as info:
+        solve_pinned(system, np.array([1e-3, -1e-3]), 0, 0.0, p0=np.zeros(2))
+    assert info.value.report.iterations == 1
+    assert info.value.report.residual == 1e-3
+
+
 def test_jacobi_iterates_monotone_from_cold_start(tu_2x2_diag, logit3):
     for system, q in (tu_2x2_diag[1:], logit3):
         pin = (
@@ -495,6 +512,25 @@ def test_bracket_widths_halve_exactly(logit3):
     assert abs(mean()(rep.p_star) - 0.3) <= 1e-9
 
 
+def test_dichotomy_that_cannot_meet_the_level_raises_with_its_best_report(logit3):
+    # psi jumps by 0.1 where the mean crosses 0, so it never takes the level
+    # 0.05: the bracket closes on the jump, the gap stays 0.05, and after 20
+    # extra halvings below tol_bracket the solve gives up
+    system, s = logit3
+    opts = SolverOptions()
+    jump = Normalization(eval_fn=lambda p: float(np.mean(p) + 0.1 * (np.mean(p) > 0)))
+    with pytest.raises(MaxIterExceeded) as info:
+        solve_normalized(system, s, jump, 0.05, opts)
+    rep = info.value.report
+    assert rep.outer_solves == 1  # logit is translation-invariant: shifts
+    widths = [hi - lo for lo, hi in rep.bracket_history]
+    for w0, w1 in zip(widths, widths[1:]):
+        assert w1 == 0.5 * w0
+    assert all(w < opts.tol_bracket for w in widths[-21:])
+    assert widths[-22] >= opts.tol_bracket
+    assert abs(jump(rep.p_star) - 0.05) >= 0.05 - 1e-9
+
+
 def test_solve_normalized_unique_across_starting_guesses(logit3):
     system, s = logit3
     rep1 = solve_normalized(system, s, mean(), 0.0, pin_guess=-3.0)
@@ -541,6 +577,15 @@ def test_renormalize_coordinate_and_max_are_fixed_points():
         p = rng.uniform(-5, 5, 3)
         assert abs(norm_c(p) - p[1]) <= 1e-9
         assert abs(norm_m(p) - np.max(p)) <= 1e-9
+
+
+def test_normalization_gradients():
+    p = np.array([0.3, -1.0, 2.0, 0.5])
+    # a renormalized map has no closed-form gradient: central differences
+    grad = renormalize(lambda p: p.mean() - 0.3).grad(p)
+    assert np.max(np.abs(grad - 0.25)) <= 1e-6
+    assert max_coordinate().grad(p).tolist() == [0.0, 0.0, 1.0, 0.0]
+    assert min_coordinate().grad(p).tolist() == [0.0, 1.0, 0.0, 0.0]
 
 
 def test_renormalize_rejects_diagonally_flat_map():
