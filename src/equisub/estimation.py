@@ -599,43 +599,42 @@ def gmm_nested(
     opts: Optional[SolverOptions] = None,
     two_step: bool = False,
 ) -> GmmResult:
-    """Minimize the quadratic form of the structural moments.
+    """Minimize the quadratic form m(θ)ᵀWm(θ) of the structural moments.
 
     The demand inversion does not involve theta for the shipped link
     families, so it runs once per data set and the inner loop only
-    re-evaluates the residuals.
+    re-evaluates the residuals.  W is read through its symmetric part
+    S = LLᵀ, and each GMM step is one least-squares fit of the whitened
+    moments Lᵀm(θ), since mᵀWm = |Lᵀm|².  The second step (``two_step``)
+    refits with W = Ω⁻¹, the inverse moment variance at the first θ.
     """
-    theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
-    if W is None:
-        W = np.eye(2)
-    W = np.asarray(W, dtype=float)
-    if not np.all(np.isfinite(W)) or np.linalg.cond(W) > 1e12:
-        raise SingularWeight("weighting matrix is singular or nonfinite")
-
+    theta_hat = np.atleast_1d(np.asarray(theta0, dtype=float))
+    W = np.eye(2) if W is None else np.asarray(W, dtype=float)
     inv = invert_demand(model, s, norm, K, opts)
     delta = inv.delta
-
-    def objective(theta):
-        _, m = gmm_moments(delta, x1, x2, y, gfam, np.atleast_1d(theta))
-        return float(m @ W @ m)
-
-    res = optimize.minimize(objective, theta0, method="Nelder-Mead", options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 2000})
-    theta_hat = np.atleast_1d(res.x)
-
-    if two_step:
+    for step in range(2 if two_step else 1):
+        try:
+            if step:
+                Zxi = np.stack([x1, y], axis=1) * xi[:, None]
+                W = np.linalg.inv(Zxi.T @ Zxi)
+            S = 0.5 * (W + W.T)
+            if not np.all(np.isfinite(S)) or np.linalg.cond(S) > 1e12:
+                raise np.linalg.LinAlgError
+            L = np.linalg.cholesky(S)
+        except np.linalg.LinAlgError:
+            raise SingularWeight(
+                "estimated moment variance is singular" if step
+                else "weighting matrix is not positive definite or nonfinite"
+            ) from None
+        res = optimize.least_squares(
+            lambda th: L.T @ gmm_moments(delta, x1, x2, y, gfam, th)[1], theta_hat,
+            xtol=1e-15, ftol=1e-15, gtol=1e-15, diff_step=1e-6,
+        )
+        theta_hat = res.x
         xi, m = gmm_moments(delta, x1, x2, y, gfam, theta_hat)
-        Z = np.stack([x1, y], axis=1)
-        Omega = (Z * xi[:, None]).T @ (Z * xi[:, None])
-        if np.linalg.cond(Omega) > 1e12:
-            raise SingularWeight("estimated moment variance is singular")
-        W = np.linalg.inv(Omega)
-        res = optimize.minimize(objective, theta_hat, method="Nelder-Mead", options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 2000})
-        theta_hat = np.atleast_1d(res.x)
-
-    xi, m = gmm_moments(delta, x1, x2, y, gfam, theta_hat)
     return GmmResult(
         theta=theta_hat,
-        value=float(res.fun),
+        value=float(m @ W @ m),
         moments=m,
         delta=delta,
         xi=xi,

@@ -19,6 +19,7 @@ from equisub.errors import BracketNotFound
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from tracing import Tracer  # noqa: E402
+from workloads import WORKLOADS, generate  # noqa: E402
 
 
 def test_tracer_counts_every_sweep_through_sweep_solver():
@@ -91,3 +92,11 @@ def test_tracer_counts_one_check_span_per_structure_check(tmp_path):
         tracer.uninstall()
     assert code == 0
     assert tracer.per_layer(1.0)["diagnostics.check.calls"] == 3
+
+
+def test_estimate_workload_instances_pass_their_checks(tmp_path):
+    # three cycles of the estimate workload at seed 1: any failed or wrong
+    # instance would count against the benchmark's failure share
+    for inst in generate(WORKLOADS["estimate"], 1, tmp_path, 3):
+        status, detail = inst.check(inst.run())
+        assert status == "pass", (inst.kind, detail)

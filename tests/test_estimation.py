@@ -1,9 +1,12 @@
 """Likelihood and moment estimation of matching and demand parameters."""
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from equisub import estimation
 from equisub import normalization as nz
 from equisub.demand import GFamily, demand_logit, linear_g, logit_model
 from equisub.errors import OptimizerStalled, SingularWeight, ZeroPredictedCell
@@ -26,6 +29,9 @@ from equisub.estimation import (
 from equisub import matching
 from equisub.matching import MarketPrimitives, etu_family, frontier_distance, solve_mfe
 from equisub.solver import SolverOptions
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 DIAG = np.array([[[1.0, 0.0], [0.0, 1.0]]])  # single diagonal-surplus direction
 ONES2 = np.ones((2,))
@@ -477,11 +483,56 @@ def test_gmm_weight_scale_invariance():
     assert abs(r1.theta[0] - r2.theta[0]) <= 1e-6
 
 
-def test_gmm_rejects_singular_weight():
+@pytest.mark.parametrize(
+    "W",
+    [np.zeros((2, 2)), np.diag([1.0, -1.0]), np.array([[1.0, 2.0], [0.0, 1.0]])],
+    ids=["zeros", "indefinite", "singular-symmetric-part"],
+)
+def test_gmm_rejects_singular_weight(W):
     theta0 = 1.5
     model, s, x1, x2, y, delta = _demand_data(theta0)
     with pytest.raises(SingularWeight):
         gmm_nested(
             model, s, x1, x2, y, linear_g(), nz.mean(), float(np.mean(delta)),
-            np.zeros(1), W=np.zeros((2, 2)),
+            np.zeros(1), W=W,
         )
+
+
+def _bench_gmm_calls(seed):
+    """gmm_nested's arguments in the estimate workload's GMM instance:
+    one call with linear_g() and one with the same link without g_inv."""
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimation, "gmm_nested", lambda *args, **kw: calls.append(args))
+        workloads.gmm_instance(np.random.default_rng(seed), 40).run()
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_gmm_residual_evaluations_per_fit(seed, monkeypatch):
+    count = [0]
+    residual_xi = estimation.residual_xi
+
+    def counted(*args):
+        count[0] += 1
+        return residual_xi(*args)
+
+    monkeypatch.setattr(estimation, "residual_xi", counted)
+    for args in _bench_gmm_calls(seed):
+        for two_step, most in ((False, 25), (True, 40)):
+            count[0] = 0
+            gmm_nested(*args, two_step=two_step)
+            assert count[0] <= most, (two_step, count[0])
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_gmm_one_step_attains_the_closed_form_minimum(seed):
+    # with linear_g and W = I, m(theta) = m0 + theta * J is affine in theta
+    model, s, x1, x2, y, g, norm, K, theta0 = _bench_gmm_calls(seed)[0]
+    res = gmm_nested(model, s, x1, x2, y, g, norm, K, theta0)
+    m0 = np.array([(res.delta - x1) @ x1, (res.delta - x1) @ y])
+    J = np.array([x2 @ x1, x2 @ y])
+    theta_star = -(J @ m0) / (J @ J)
+    m_star = m0 + theta_star * J
+    assert abs(res.theta[0] - theta_star) <= 1e-9
+    assert res.value <= (m_star @ m_star) * (1 + 1e-12)
