@@ -211,29 +211,18 @@ def _mc_sweep(model: DemandModel):
 def build_demand_system(model: DemandModel) -> SupplySystem:
     """Share equations as a balanced system (shares sum to one).
 
-    Hints pin coordinate 0, then put each good k = 1, ..., Z-1 in a block
-    of its own; its envelope evaluates the share map with every later
-    quality pushed far down (those goods are effectively removed), which
-    by substitutability can only overstate good k's share and makes the
-    value independent of the later coordinates.
+    Hints pin coordinate 0 and put every other good in one block.  Its
+    envelope gives good k the share of k with every good but the pin and k
+    clamped to min(p[0], p[k]) - 40 (effectively removed), which by
+    substitutability can only overstate Q_k(p) and reads only p[0] and
+    p[k]; its rows go through eval_batch as one (Z-1, Z) batch when the
+    system has one, and through one share evaluation per row otherwise.
     """
     Z = model.dim
+    free = np.arange(1, Z)
 
     def q_of_p(p):
         return shares(model, p)
-
-    def env(k):
-        def _env(p):
-            clamped = p.copy()
-            clamped[k + 1 :] = np.min(p[: k + 1]) - 40.0
-            return shares(model, clamped)[k : k + 1]
-
-        return _env
-
-    hints = SubsolutionHints(
-        ordering=(0,) + tuple(np.array([k]) for k in range(1, Z)),
-        envelopes=tuple(env(k) for k in range(1, Z)),
-    )
 
     batch = None
     sweep = None
@@ -254,12 +243,20 @@ def build_demand_system(model: DemandModel) -> SupplySystem:
         sweep = _mc_sweep(model)
         additive = bool(np.all(model.affine_parts[0] == 1.0))
 
+    def envelope(p):
+        rows = np.repeat(np.minimum(p[0], p[free])[:, None] - 40.0, Z, axis=1)
+        rows[:, 0] = p[0]
+        rows[free - 1, free] = p[free]
+        if batch is not None and free.size:
+            return batch(rows)[free - 1, free]
+        return np.array([shares(model, row)[k] for row, k in zip(rows, free)])
+
     return SupplySystem(
         dim=Z,
         eval_fn=q_of_p,
         bounds=model.bounds,
         balance_constant=1.0,
-        subsolution_hints=hints,
+        subsolution_hints=SubsolutionHints(ordering=(0, free), envelopes=(envelope,)),
         eval_batch=batch,
         sweep_solver=sweep,
         translation_invariant=additive and model.bounds.is_unbounded,

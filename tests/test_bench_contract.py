@@ -94,9 +94,11 @@ def test_tracer_counts_one_check_span_per_structure_check(tmp_path):
     assert tracer.per_layer(1.0)["diagnostics.check.calls"] == 3
 
 
-def test_estimate_workload_instances_pass_their_checks(tmp_path):
-    # three cycles of the estimate workload at seed 1: any failed or wrong
-    # instance would count against the benchmark's failure share
-    for inst in generate(WORKLOADS["estimate"], 1, tmp_path, 3):
+@pytest.mark.parametrize("workload, cycles", [("estimate", 3), ("invert-cli", 1)])
+def test_estimate_workload_instances_pass_their_checks(workload, cycles, tmp_path):
+    # whole cycles of a workload at seed 1: any failed or wrong instance
+    # would count against the benchmark's failure share (invert-cli's
+    # simulated inversions must stay within its 10-draw share check)
+    for inst in generate(WORKLOADS[workload], 1, tmp_path, cycles):
         status, detail = inst.check(inst.run())
         assert status == "pass", (inst.kind, detail)

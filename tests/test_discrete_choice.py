@@ -1,9 +1,12 @@
 """Closed-form and simulated demand, inversion, and structural residuals."""
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from equisub import demand
 from equisub import normalization as nz
 from equisub import solver
 from equisub.demand import (
@@ -245,6 +248,27 @@ def test_invert_single_good_returns_the_level():
     for model in (logit_model(1), logit_mc_model(1, R=100, seed=0)):
         res = invert_demand(model, np.array([1.0]), nz.coordinate(0), 0.3)
         assert res.delta.tolist() == [0.3]
+
+
+def test_single_good_envelope_is_empty_and_evaluates_nothing(monkeypatch):
+    # Z = 1 leaves the envelope's block empty: no batch and no share call
+    def refuse(*args):
+        raise AssertionError("share map evaluated")
+
+    monkeypatch.setattr(demand, "demand_logit", functools.wraps(demand_logit)(refuse))
+    monkeypatch.setattr(demand, "shares", refuse)
+    for model in (logit_model(1), logit_mc_model(1, R=100, seed=0)):
+        (env,) = build_demand_system(model).subsolution_hints.envelopes
+        assert env(np.array([0.3])).shape == (0,)
+
+
+@pytest.mark.parametrize("psi", ["mean", "coordinate"])
+def test_invert_two_goods_round_trip(psi):
+    # the smallest non-empty block of free goods
+    delta0 = np.array([0.4, -0.9])
+    norm, K = (nz.mean(), float(delta0.mean())) if psi == "mean" else (nz.coordinate(0), 0.4)
+    res = invert_demand(logit_model(2), demand_logit(delta0), norm, K)
+    assert np.max(np.abs(res.delta - delta0)) <= 1e-8
 
 
 def test_invert_pure_characteristics_round_trip():

@@ -47,6 +47,7 @@ from equisub.demand import (
     logit_model,
     pure_characteristics_model,
     rc_logit_model,
+    shares,
 )
 from equisub.estimation import ThetaSpec
 from equisub.matching import (
@@ -273,11 +274,31 @@ def _assert_subsolution(system, q, pin, pin_value, p0):
     assert np.all(eval_supply(system, p0)[off] <= q[off] + 1e-9)
 
 
-@pytest.mark.parametrize("kind", ["TU", "NTU", "ETU"])
-def test_build_subsolution_walks_each_block_once(kind, monkeypatch):
-    # rows, then free columns: one walk per block, not one per coordinate
-    # (a 12 x 9 market has 20 free coordinates)
-    system, q, pin_value = _planted_market(kind, 12, 9)
+def _logit_case(Z, scale, seed=0):
+    delta = np.random.default_rng(seed).normal(0.0, scale, Z)
+    return build_demand_system(logit_model(Z)), demand_logit(delta), float(delta[0])
+
+
+def _demand_case(kind):
+    if kind == "logit-mc":
+        model, delta = logit_mc_model(5, R=2000, seed=3), np.array([0.3, -0.2, 0.1, 0.5, -0.4])
+    else:
+        model = bridge_model(np.array([0.0, 0.5, 1.0, 1.5]), R=2000, seed=31)
+        delta = np.array([-2.0, -1.4, -1.0, -0.7])
+    return build_demand_system(model), demand_mc(model, delta), float(delta[0])
+
+
+# rows, then free columns: one walk per block, not one per coordinate (a
+# 12 x 9 market has 20 free coordinates); demand walks its free goods as one
+@pytest.mark.parametrize(
+    "case, max_walks",
+    [(partial(_planted_market, kind, 12, 9), 2) for kind in ("TU", "NTU", "ETU")]
+    + [(partial(_logit_case, 40, 1.0), 1)]
+    + [(partial(_demand_case, kind), 1) for kind in ("logit-mc", "bridge")],
+    ids=["TU", "NTU", "ETU", "logit-40", "logit-mc", "bridge"],
+)
+def test_build_subsolution_walks_each_block_once(case, max_walks, monkeypatch):
+    system, q, pin_value = case()
     pin = system.subsolution_hints.ordering[0]
     walks = []
     walk = solver.expand_bracket
@@ -288,8 +309,33 @@ def test_build_subsolution_walks_each_block_once(kind, monkeypatch):
 
     monkeypatch.setattr(solver, "expand_bracket", counted)
     p0 = build_subsolution(system, q, pin, pin_value)
-    assert 1 <= len(walks) <= 2
+    assert 1 <= len(walks) <= max_walks
     _assert_subsolution(system, q, pin, pin_value, p0)
+
+
+@pytest.mark.parametrize(
+    "model", [logit_model(40), logit_mc_model(5, R=2000, seed=3)], ids=["logit-40", "logit-mc-5"]
+)
+def test_demand_envelope_reads_the_pin_and_its_good_and_bounds_the_share(model):
+    # good k's envelope row clamps every other free good to
+    # min(p[0], p[k]) - 40, so moving one of them (staying at or above that
+    # level) leaves k's value unchanged bit for bit, and removing rivals
+    # can only raise k's share
+    system = build_demand_system(model)
+    (free,), (env,) = system.subsolution_hints.ordering[1:], system.subsolution_hints.envelopes
+    assert np.array_equal(free, np.arange(1, model.dim))
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        p = rng.normal(0.0, 1.0, model.dim)
+        e = env(p)
+        assert np.all(e >= shares(model, p)[free])
+        for j in rng.choice(free, size=3, replace=False):
+            moved = p.copy()
+            moved[j] = rng.uniform(p.min() - 39.0, p.max() + 5.0)
+            e_moved = env(moved)
+            others = free != j
+            assert np.array_equal(e_moved[others], e[others])
+            assert np.all(e_moved >= shares(model, moved)[free])
 
 
 def test_build_subsolution_names_the_stuck_system_coordinate():
@@ -313,22 +359,16 @@ def test_build_subsolution_names_the_stuck_system_coordinate():
         build_subsolution(system, np.zeros(4), 0, 0.0)
 
 
-def _demand_case(kind):
-    if kind == "logit-mc":
-        model, delta = logit_mc_model(5, R=2000, seed=3), np.array([0.3, -0.2, 0.1, 0.5, -0.4])
-    else:
-        model = bridge_model(np.array([0.0, 0.5, 1.0, 1.5]), R=2000, seed=31)
-        delta = np.array([-2.0, -1.4, -1.0, -0.7])
-    return build_demand_system(model), demand_mc(model, delta), float(delta[0])
-
-
-# empty column blocks (Y = 1), one-entry blocks and X >= 8 markets, and the
-# singleton blocks of simulated demand
+# empty column blocks (Y = 1), one-entry blocks and X >= 8 markets, the
+# block of simulated demand, and exact logit's batched block with widely
+# spread shares
 SUBSOLUTION_CASES = [
     pytest.param(partial(_planted_market, kind, X, Y, X * Y), id=f"{kind}-{X}x{Y}")
     for kind in ("TU", "NTU")
     for X, Y in ((1, 1), (1, 4), (4, 1), (8, 8), (12, 9))
-] + [pytest.param(partial(_demand_case, kind), id=kind) for kind in ("logit-mc", "bridge")]
+] + [pytest.param(partial(_demand_case, kind), id=kind) for kind in ("logit-mc", "bridge")] + [
+    pytest.param(partial(_logit_case, 40, 3.0), id="logit-40-spread")
+]
 
 
 @pytest.mark.parametrize("case", SUBSOLUTION_CASES)
