@@ -64,8 +64,9 @@ class DemandModel:
     closed_form: Optional[Callable[[np.ndarray], np.ndarray]] = None
     bounds: Optional[Bounds] = None
     label: str = "demand"
-    # (C, D) with U = delta[None, :] * C + D when utilities are affine in
-    # the own quality; enables the exact order-statistic sweep
+    # (C, D) with C > 0 such that delta[None, :] * C + D picks the same
+    # argmax per consumer as utilities; enables the exact order-statistic
+    # sweep, and C all ones makes the shares translation-invariant
     affine_parts: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def __post_init__(self):
@@ -139,6 +140,8 @@ def bridge_model(tolls: np.ndarray, R: int, seed: int, beta: float = 0.0) -> Dem
     U_z = beta - toll_z + delta_z * exp(-eps), eps ~ N(0,1) scalar per
     consumer (a value-of-time draw shared across routes).  The model is a
     valid substitutes system only on delta < 0, which the bounds encode.
+    Dividing by exp(-eps) > 0 keeps each consumer's argmax, so the choice
+    parts delta_z + (beta - toll_z) * exp(eps) are additive.
     """
     tolls = np.asarray(tolls, dtype=float)
     Z = tolls.size
@@ -155,10 +158,7 @@ def bridge_model(tolls: np.ndarray, R: int, seed: int, beta: float = 0.0) -> Dem
         draws=draws,
         bounds=Bounds(np.full(Z, -np.inf), np.zeros(Z)),
         label="bridge",
-        affine_parts=(
-            np.exp(-draws),
-            np.broadcast_to(beta - tolls[None, :], (R, Z)).copy(),
-        ),
+        affine_parts=(np.ones_like(draws), (beta - tolls[None, :]) * np.exp(draws)),
     )
 
 
@@ -217,6 +217,8 @@ def build_demand_system(model: DemandModel) -> SupplySystem:
     substitutability can only overstate Q_k(p) and reads only p[0] and
     p[k]; its rows go through eval_batch as one (Z-1, Z) batch when the
     system has one, and through one share evaluation per row otherwise.
+    Exact logit and simulated models with unit affine slopes (every shipped
+    one, the bridge included) are translation-invariant on any box.
     """
     Z = model.dim
     free = np.arange(1, Z)
@@ -224,9 +226,8 @@ def build_demand_system(model: DemandModel) -> SupplySystem:
     def q_of_p(p):
         return shares(model, p)
 
-    batch = None
-    sweep = None
-    additive = False  # U = delta + draws (or logit): shares see only differences
+    batch = sweep = None
+    additive = False  # argmax of delta + D (or logit): shares see only differences
     # unwrapped on both sides, so a wrapper around demand_logit (installed
     # before or after the model was built) still selects the closed form
     if inspect.unwrap(model.closed_form) is inspect.unwrap(demand_logit):
@@ -259,7 +260,7 @@ def build_demand_system(model: DemandModel) -> SupplySystem:
         subsolution_hints=SubsolutionHints(ordering=(0, free), envelopes=(envelope,)),
         eval_batch=batch,
         sweep_solver=sweep,
-        translation_invariant=additive and model.bounds.is_unbounded,
+        translation_invariant=additive,
     )
 
 

@@ -8,7 +8,7 @@ Gauss-Seidel sweep, else bisection_sweep, the Jacobi sweep itself.  Under
 gross substitutability the iterates increase monotonically to the pinned
 solution.  solve_normalized wraps the pinned solver in a bisection on the
 pinned value to meet psi(p) = K; on a translation-invariant system its
-probes shift one pinned solution.
+probes shift one pinned solution while the shift stays in the box.
 """
 from __future__ import annotations
 
@@ -300,10 +300,12 @@ def solve_normalized(
 
     On a translation-invariant system every real pinned solve runs at the
     tight tolerance, and every pin after the first is reached by shifting
-    the last solution by a constant (kept when its re-measured residual
-    meets the probe's tol_outer; it copies the source's iterations and
-    certificate), so a solve whose shifts all hold makes one pinned solve.
-    Shifts are not pinned solves: outer_solves counts real ones only.
+    the last solution by a constant (kept when it lies in the box and its
+    re-measured residual meets the probe's tol_outer, copying the source's
+    iterations and certificate; otherwise a real solve starts from it, or
+    from the last solution if it left the box), so a solve whose shifts all
+    hold makes one pinned solve.  Shifts are not pinned solves:
+    outer_solves counts real ones only.
     """
     lo_K, hi_K = norm.value_range
     if not (lo_K < K < hi_K):
@@ -337,15 +339,14 @@ def solve_normalized(
             return (known, 0.0) if known is not None else (None, 1.0)
         p0 = None if warm is None else warm.p_star
         if system.translation_invariant:
-            if warm is not None:
-                # Q(p + t*1) = Q(p): the solved point shifted to pin g is the
-                # pinned solution at g up to rounding, which the re-measured
-                # residual checks; otherwise it warm-starts.  The check keeps
-                # no ROUNDING_FLOOR allowance: with it, a count-sized shift
-                # is kept at the rounding floor instead of being re-solved,
-                # and criterion 11's count-scale MLE stalls (OptimizerStalled
-                # at gradient norm 2.4e-3)
-                p0 = warm.p_star + (g - warm.p_star[pin])
+            shifted = None if warm is None else warm.p_star + (g - warm.p_star[pin])
+            if shifted is not None and system.bounds.contains(shifted):
+                # Q(p + t*1) = Q(p) in the box: the solved point shifted to
+                # pin g is the pinned solution at g up to rounding, which the
+                # re-measured residual checks without ROUNDING_FLOOR (with it,
+                # a count-sized shift is kept at the rounding floor unsolved,
+                # and criterion 11's count-scale MLE stalls at 2.4e-3)
+                p0 = shifted
                 p0[pin] = g
                 residual = float(np.max(np.abs(eval_supply(system, p0) - q)))
                 if residual <= use.tol_outer:

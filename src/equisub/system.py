@@ -42,12 +42,8 @@ class Bounds:
     def dim(self) -> int:
         return self.lower.shape[0]
 
-    @property
-    def is_unbounded(self) -> bool:
-        return bool(np.all(np.isinf(self.lower)) and np.all(np.isinf(self.upper)))
-
     def contains(self, p: np.ndarray) -> bool:
-        return bool(np.all(p > self.lower) and np.all(p < self.upper))
+        return bool(((self.lower < p) & (p < self.upper)).all())
 
 
 @dataclass(frozen=True)
@@ -87,10 +83,10 @@ class SupplySystem:
       box makes the pinned solve raise NoBracket; the sweep need not keep
       its result inside the bounds.  Without one, the pinned solver sweeps
       by bracketing and bisection (solver.bisection_sweep);
-    - translation_invariant: Q(p + t*1) = Q(p) for all t, and the box is
-      unbounded, so a pinned solution at one pin value shifted by a
-      constant is the pinned solution at another.  Builders set it for
-      the families where it holds; it is not a solver option.
+    - translation_invariant: Q(p + t*1) = Q(p) wherever p and p + t*1
+      both lie in the box, so a pinned solution shifted by a constant and
+      still in the box is the pinned solution at the shifted pin.  Builders
+      set it where it holds, whatever the bounds; it is not a solver option.
     """
 
     dim: int
@@ -107,8 +103,6 @@ class SupplySystem:
     def __post_init__(self):
         if self.bounds.dim != self.dim:
             raise DimensionMismatch("bounds dimension does not match system dimension")
-        if self.translation_invariant and not self.bounds.is_unbounded:
-            raise DimensionMismatch("a translation-invariant system needs an unbounded box")
 
 
 def eval_supply(system: SupplySystem, p: np.ndarray) -> np.ndarray:

@@ -94,7 +94,7 @@ def test_tracer_counts_one_check_span_per_structure_check(tmp_path):
     assert tracer.per_layer(1.0)["diagnostics.check.calls"] == 3
 
 
-@pytest.mark.parametrize("workload, cycles", [("estimate", 3), ("invert-cli", 1)])
+@pytest.mark.parametrize("workload, cycles", [("estimate", 3), ("invert-cli", 1), ("match-tu", 1)])
 def test_estimate_workload_instances_pass_their_checks(workload, cycles, tmp_path):
     # whole cycles of a workload at seed 1: any failed or wrong instance
     # would count against the benchmark's failure share (invert-cli's
@@ -102,3 +102,14 @@ def test_estimate_workload_instances_pass_their_checks(workload, cycles, tmp_pat
     for inst in generate(WORKLOADS[workload], 1, tmp_path, cycles):
         status, detail = inst.check(inst.run())
         assert status == "pass", (inst.kind, detail)
+
+
+@pytest.mark.parametrize("seed", [4, 7, 11])
+def test_invert_cli_bridge_mean_instances_pass(seed, tmp_path):
+    # the bridge under mean psi on the 30 s invert-cli lists of these seeds
+    # (36 instances), where a dichotomy that solves every pin stalls on 4
+    w = WORKLOADS["invert-cli"]
+    for i, inst in enumerate(generate(w, seed, tmp_path, w.list_cycles(30))):
+        if inst.kind == "bridge-4-mean":
+            status, detail = inst.check(inst.run())
+            assert status == "pass", (i, detail)

@@ -174,6 +174,34 @@ def test_invert_bridge_mean_psi_round_trip(monkeypatch):
     assert len(pins) == len(set(pins))
 
 
+def test_invert_bridge_mean_psi_shifts_inside_its_box():
+    # divided by exp(-eps), the bridge's utilities are additive in delta, so
+    # the dichotomy's pins shift one solution while the shift stays below 0.
+    # Solving every pin stalls here: near the answer psi jumps across K
+    # between the least pinned solution and a larger warm-started one
+    R = 2000
+    model = bridge_model(np.array([0.0, 0.5, 1.0, 1.5]), R=R, seed=12)
+    delta0 = np.array([-1.97351799, -1.43889606, -1.01746496, -0.72742756])
+    s = demand_mc(model, delta0)
+    res = invert_demand(model, s, nz.mean(), delta0.mean())
+    assert res.report.outer_solves <= 4
+    assert np.rint(np.max(np.abs(res.shares - s)) * R) <= 10
+    assert abs(res.delta.mean() - delta0.mean()) <= 10.0 / R
+
+
+def test_bridge_affine_parts_pick_the_structural_argmax():
+    # each consumer's utilities divided by exp(-eps) > 0: unit slopes, and
+    # the same route for every consumer as the structural utilities
+    model = bridge_model(np.array([0.0, 0.5, 1.0, 1.5]), R=2000, seed=5)
+    C, D = model.affine_parts
+    assert np.all(C == 1.0)
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        delta = rng.uniform(-3.0, 0.0, 4)
+        picks = np.argmax(model.utilities(delta, model.draws), axis=1)
+        assert np.array_equal(np.argmax(delta[None, :] * C + D, axis=1), picks)
+
+
 @pytest.mark.parametrize(
     "model",
     [

@@ -663,6 +663,19 @@ INVARIANT_BUILDERS = {
         lambda rng: build_demand_system(pure_characteristics_model(rng.normal(size=4), R_TRAIT, int(rng.integers(100)))),
         1.0 / R_TRAIT,
     ),
+    # bounded boxes: the trait holds wherever p and p + t both lie in the box
+    "bridge": (
+        lambda rng: build_demand_system(
+            bridge_model(np.sort(rng.uniform(0.0, 2.0, 4)), R_TRAIT, int(rng.integers(100)))
+        ),
+        1.0 / R_TRAIT,
+    ),
+    "logit-mc-boxed": (
+        lambda rng: build_demand_system(
+            replace(logit_mc_model(4, R_TRAIT, int(rng.integers(100))), bounds=Bounds(np.full(4, -10.0), np.full(4, 10.0)))
+        ),
+        1.0 / R_TRAIT,
+    ),
 }
 
 
@@ -675,6 +688,9 @@ def test_translation_invariant_builders_are_invariant(name, seed, t):
     system = make(rng)
     assert system.translation_invariant
     p = rng.uniform(-2.0, 2.0, system.dim)
+    # lower p until p + t is in the box too (the bridge's box ends at 0)
+    p -= max(0.0, np.max(p + max(t, 0.0) - system.bounds.upper) + 1.0)
+    assert system.bounds.contains(p) and system.bounds.contains(p + t)
     assert np.max(np.abs(eval_supply(system, p + t) - eval_supply(system, p))) <= tol
 
 
@@ -683,23 +699,35 @@ def test_translation_invariance_is_not_declared_where_it_fails():
     alpha, gamma = rng.normal(0.0, 0.5, (2, 3, 3))
     etu = _market(etu_family(alpha, gamma))
     itu = _market(itu_family(alpha, gamma, DIST_LOGMEAN))
-    bridge = build_demand_system(bridge_model(np.array([0.0, 0.5, 1.0]), R_TRAIT, 1))
-    boxed = replace(logit_mc_model(3, R_TRAIT, 1), bounds=Bounds(np.full(3, -10.0), np.full(3, 10.0)))
-    for system in (etu, itu, bridge, build_demand_system(boxed)):
+    for system in (etu, itu):
         assert not system.translation_invariant
     # ETU is visibly not invariant: one shift moves the matches
     p = rng.uniform(-1.0, 1.0, etu.dim)
     assert np.max(np.abs(eval_supply(etu, p + 1.0) - eval_supply(etu, p))) > 1e-2
 
 
-def test_translation_invariant_system_needs_an_unbounded_box():
-    with pytest.raises(DimensionMismatch):
-        SupplySystem(
-            dim=2,
-            eval_fn=lambda p: np.array([0.5, 0.5]),
-            bounds=Bounds(np.array([-1.0, -np.inf]), np.full(2, np.inf)),
-            translation_invariant=True,
-        )
+def test_shift_that_leaves_the_box_becomes_a_real_solve(monkeypatch):
+    # exact logit on p < 1: the pinned solution at pin g is
+    # g + log q - log q[0], which leaves the box once g > 1 - log(2.5).
+    # A shift there must not reach eval_supply (OutOfBounds): it becomes a
+    # real pinned solve, warm-started from the last solution
+    model = replace(logit_model(3), bounds=Bounds(np.full(3, -np.inf), np.full(3, 1.0)))
+    system = build_demand_system(model)
+    assert system.translation_invariant
+    q = np.array([0.2, 0.3, 0.5])
+    solves = []
+
+    def recorded(system, q, pin, pin_value, opts=SolverOptions(), p0=None):
+        solves.append((pin_value, p0 is not None))
+        return solve_pinned(system, q, pin, pin_value, opts, p0=p0)
+
+    monkeypatch.setattr(solver, "solve_pinned", recorded)
+    rep = solve_normalized(system, q, mean(), 0.0, pin_guess=0.9)
+    leaves_box = 1.0 - np.log(q.max() / q[0])
+    assert any(warm and g > leaves_box for g, warm in solves), solves
+    assert rep.outer_solves == len(solves) <= 3
+    assert system.bounds.contains(rep.p_star)
+    assert np.max(np.abs(rep.p_star - (np.log(q) - np.log(q).mean()))) <= 1e-9
 
 
 def _widths(rep):
