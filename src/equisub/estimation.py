@@ -114,46 +114,24 @@ def tu_surplus_spec(phi0: np.ndarray, basis: np.ndarray) -> ThetaSpec:
 # per-cell derivative engine
 #
 # Cell (x, y) has log M = -d(u, v) with u = -a_x - alpha_xy, v = -b_y -
-# gamma_xy and alpha, gamma affine in theta, so it depends only on its own
-# d + 2 variables (theta, a_x, b_y), and the chain rule gives its gradient
-# and Hessian from the derivatives of d (for NTU, DIST_SUM's d_u = d_v = 1
-# with zero curvature and bases (phi_basis, 0)).  Global derivatives in
-# (theta, a, b) are scatter-adds of these per-cell blocks, and the nested
-# gradient is one adjoint solve with the saddle-point multipliers.
+# gamma_xy and alpha, gamma affine in theta, so its gradient in its own
+# variables (theta, a_x, b_y) is (alpha_basis d_u + gamma_basis d_v, d_u,
+# d_v) and its Hessian has rank 2 (for NTU, DIST_SUM's d_u = d_v = 1 with
+# zero curvature and bases (phi_basis, 0)).  Global derivatives in (theta,
+# a, b) are row and column sums of such tables, and the nested gradient is
+# one adjoint solve with the saddle-point multipliers.
 
 
 def _cell_blocks(spec: ThetaSpec, theta: np.ndarray, a: np.ndarray, b: np.ndarray, hessian: bool = False):
-    """Return (m, g, H, idx): per-cell log-match values and derivatives.
-
-    m is (X, Y); g (X, Y, d+2) and H (X, Y, d+2, d+2) are the gradient and
-    Hessian of log M_xy in its own variables (theta, a_x, b_y), H is None
-    unless requested; idx (X, Y, d+2) maps them into (theta, a, b).
-    """
-    d = spec.dim
-    X, Y = spec.table_shape
+    """Return (m, (du, dv), g, D2d): log M and its slopes in a_x and b_y, all
+    (X, Y), its theta-gradient g (d, X, Y), and the distance's curvature
+    (d_uu, d_uv, d_vv) in (u, v), None unless requested."""
     fam = spec.family(np.atleast_1d(theta))
     u = -a[:, None] - fam.alpha
     v = -b[None, :] - fam.gamma
-    dist, du, dv, duu, duv, dvv = (np.broadcast_to(t, (X, Y)) for t in fam.distance.evaluate(u, v))
-    Dd, D2d = np.stack([du, dv], -1), np.stack([duu, duv, duv, dvv], -1).reshape(X, Y, 2, 2)
-
-    # P[x, y, i] is the gradient of (u, v)[i] in the cell's own variables
-    P = np.zeros((X, Y, 2, d + 2))
-    P[:, :, :, :d] = -np.moveaxis(np.stack([spec.alpha_basis, spec.gamma_basis]), (2, 3), (0, 1))
-    P[:, :, 0, d] = P[:, :, 1, d + 1] = -1.0
-    g = -np.einsum("xyi,xyik->xyk", Dd, P)
-    H = -(np.swapaxes(P, -1, -2) @ (D2d @ P)) if hessian else None
-
-    idx = np.empty((X, Y, d + 2), dtype=np.intp)
-    idx[:, :, :d] = np.arange(d)
-    idx[:, :, d] = d + np.arange(X)[:, None]
-    idx[:, :, d + 1] = d + X + np.arange(Y)
-    return -dist, g, H, idx
-
-
-def _scatter(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
-    """Sum values into a length-size vector at the given flat indices."""
-    return np.bincount(index.ravel(), weights=values.ravel(), minlength=size)
+    dist, du, dv, *D2d = (np.broadcast_to(t, u.shape) for t in fam.distance.evaluate(u, v))
+    g = spec.alpha_basis * du + spec.gamma_basis * dv
+    return -dist, (du, dv), g, (D2d if hessian else None)
 
 
 def _first_order(
@@ -171,23 +149,22 @@ def _first_order(
     Rows of G and DG (X+Y+1, nv): X accounting rows, Y accounting rows, one
     normalization row psi(-a, b) - K; columns and Dl span nv = d + X + Y
     variables (theta, a, b).  The log-likelihood is sum mu_hat log(M / N)
-    with N = sum M.  Also returns the cell blocks (M, g, H, idx) and
-    DlogN, the gradient of log N, for second-order assembly.
-    """
-    d = spec.dim
-    X, Y = spec.table_shape
-    nv = d + X + Y
-    R = X + Y + 1
-    m, g, H, idx = _cell_blocks(spec, theta, a, b, hessian)
+    with N = sum M.  Also returns M, W = M / N, _cell_blocks' du, dv, g and
+    D2d, and DlogN, the gradient of log N, for second-order assembly."""
+    m, (du, dv), g, D2d = _cell_blocks(spec, theta, a, b, hessian)
+    d, X, Y = g.shape
     M = np.exp(m)
-    DM = M[:, :, None] * g
+    Mu, Mv, gM = M * du, M * dv, g * M
 
-    # each cell enters its row x and its column row X + y
-    rows = np.broadcast_to(np.arange(X)[:, None, None], idx.shape)
-    cols = np.broadcast_to(X + np.arange(Y)[None, :, None], idx.shape)
-    DG = _scatter(np.concatenate([rows * nv + idx, cols * nv + idx]), np.concatenate([DM, DM]), R * nv)
-    DG = DG.reshape(R, nv)
-    G = np.empty(R)
+    # row x sums the cells of row x, row X + y those of column y
+    DG = np.zeros((X + Y + 1, d + X + Y))
+    DG[:X, :d] = gM.sum(axis=2).T
+    DG[:X, d : d + X] = np.diag(Mu.sum(axis=1))
+    DG[:X, d + X :] = Mv
+    DG[X:-1, :d] = gM.sum(axis=1).T
+    DG[X:-1, d : d + X] = Mu.T
+    DG[X:-1, d + X :] = np.diag(Mv.sum(axis=0))
+    G = np.empty(X + Y + 1)
     G[:X] = M.sum(axis=1) - mu_hat.sum(axis=1)
     G[X : X + Y] = M.sum(axis=0) - mu_hat.sum(axis=0)
 
@@ -198,10 +175,14 @@ def _first_order(
     DG[-1, d + X :] = gp[X:]
     # shipped normalizations are piecewise linear: zero curvature
 
-    # work with N-relative quantities to keep intermediates at unit scale
-    DlogN = _scatter(idx, DM / M.sum(), nv)
-    Dl = _scatter(idx, mu_hat[:, :, None] * g, nv) - mu_hat.sum() * DlogN
-    return G, DG, Dl, (M, g, H, idx, DlogN)
+    # N is the sum of the X row totals, so DlogN sums DG's first X rows; Dl
+    # sums w (g, du, dv) over the cells, and N-relative weights w keep its
+    # intermediates at unit scale
+    W = M / M.sum()
+    DlogN = DG[:X].sum(axis=0) / M.sum()
+    w = mu_hat - mu_hat.sum() * W
+    Dl = np.concatenate([g.reshape(d, -1) @ w.ravel(), (w * du).sum(axis=1), (w * dv).sum(axis=0)])
+    return G, DG, Dl, (M, W, du, dv, g, D2d, DlogN)
 
 
 _getrf, _getrs, _gecon = get_lapack_funcs(("getrf", "getrs", "gecon"), dtype=np.float64)
@@ -312,8 +293,7 @@ def likelihood_gradient(
             spec, theta, mu_hat.sum(axis=1), mu_hat.sum(axis=0), norm, K, opts
         )
     d = spec.dim
-    _, DG, Dl, (M, *_) = _first_order(spec, theta, eq.a, eq.b, mu_hat, norm, K)
-    Pi = M / M.sum()
+    _, DG, Dl, (_, Pi, *_) = _first_order(spec, theta, eq.a, eq.b, mu_hat, norm, K)
     if np.any(Pi[mu_hat > 0] <= 0):
         raise ZeroPredictedCell("predicted frequency is zero on an observed cell")
 
@@ -447,30 +427,42 @@ def mpec_residual(
 
 
 def _kkt_system(spec: ThetaSpec, mu_hat: np.ndarray, lam: np.ndarray, first_order) -> Tuple[np.ndarray, np.ndarray]:
-    """mpec_residual's (Psi, J) from _first_order's output with Hessians."""
-    G, DG, Dl, (M, g, H, idx, DlogN) = first_order
+    """mpec_residual's (Psi, J) from _first_order's output with curvature."""
+    G, DG, Dl, (M, W, du, dv, g, (duu, duv, dvv), DlogN) = first_order
     X, Y = spec.table_shape
-    nv = DG.shape[1]
+    d, nv = spec.dim, DG.shape[1]
     N_hat = mu_hat.sum()
 
-    # Lagrangian Hessian, cell by cell: sum mu_hat log M contributes
-    # mu_hat H, -N_hat log N contributes -N_hat (M / N) (H + g g^T) plus
-    # N_hat DlogN DlogN^T, and the accounting rows x and X + y of the cell
-    # contribute (lambda_x + lambda_{X+y}) M (H + g g^T)
-    W = M / M.sum()
+    # Lagrangian Hessian: cell (x, y) contributes c1 H + c2 g g^T with its
+    # log M Hessian H and gradient g (from mu_hat log M, -N_hat log N and the
+    # accounting rows x and X + y), and -N_hat log N adds N_hat DlogN DlogN^T.
+    # With P the gradient of (u, v), whose theta rows are -(alpha_basis,
+    # gamma_basis) and a_x, b_y rows -(1, 0), -(0, 1), H = -P^T D2d P and
+    # g = -P^T Dd, so c1 H + c2 g g^T = P^T S P with S = c2 Dd Dd^T - c1 D2d
     LM = (lam[:X, None] + lam[None, X : X + Y]) * M
     c1 = mu_hat - N_hat * W + LM
     c2 = LM - N_hat * W
-    blocks = c1[:, :, None, None] * H + c2[:, :, None, None] * (g[:, :, :, None] * g[:, :, None, :])
-    pairs = idx[:, :, :, None] * nv + idx[:, :, None, :]
-    D2L = _scatter(pairs, blocks, nv * nv).reshape(nv, nv) + N_hat * np.outer(DlogN, DlogN)
+    Suu = c2 * du * du - c1 * duu
+    Suv = c2 * du * dv - c1 * duv
+    Svv = c2 * dv * dv - c1 * dvv
+    A, B = spec.alpha_basis, spec.gamma_basis
+    Tu = A * Suu + B * Suv
+    Tv = A * Suv + B * Svv
 
-    Psi = np.concatenate([Dl + lam @ DG, G])
-    J = np.zeros((Psi.size, Psi.size))
-    J[:nv, :nv] = D2L
+    J = np.zeros((nv + DG.shape[0],) * 2)
+    D2L = J[:nv, :nv]
+    D2L[:d, :d] = A.reshape(d, -1) @ Tu.reshape(d, -1).T + B.reshape(d, -1) @ Tv.reshape(d, -1).T
+    D2L[:d, d : d + X] = Tu.sum(axis=2)
+    D2L[:d, d + X :] = Tv.sum(axis=1)
+    D2L[d:, :d] = D2L[:d, d:].T
+    D2L[d : d + X, d : d + X] = np.diag(Suu.sum(axis=1))
+    D2L[d : d + X, d + X :] = Suv
+    D2L[d + X :, d : d + X] = Suv.T
+    D2L[d + X :, d + X :] = np.diag(Svv.sum(axis=0))
+    D2L += N_hat * np.outer(DlogN, DlogN)
     J[:nv, nv:] = DG.T
     J[nv:, :nv] = DG
-    return Psi, J
+    return np.concatenate([Dl + lam @ DG, G]), J
 
 
 def solve_multiplier(

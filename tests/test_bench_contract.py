@@ -113,3 +113,14 @@ def test_invert_cli_bridge_mean_instances_pass(seed, tmp_path):
         if inst.kind == "bridge-4-mean":
             status, detail = inst.check(inst.run())
             assert status == "pass", (i, detail)
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+def test_estimate_30s_lists_pass(seed, tmp_path):
+    # every instance of the 30 s estimate list at these seeds (MLE, MPEC on
+    # TU and ETU, two-step GMM): a failed or wrong one would count against
+    # the benchmark's failure share
+    w = WORKLOADS["estimate"]
+    for i, inst in enumerate(generate(w, seed, tmp_path, w.list_cycles(30))):
+        status, detail = inst.check(inst.run())
+        assert status == "pass", (i, inst.kind, detail)

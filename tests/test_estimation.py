@@ -232,8 +232,9 @@ def test_mpec_jacobian_matches_finite_differences(kind):
 
 
 def test_mpec_residual_memory_is_per_cell():
-    # one KKT evaluation on a 30x30 market with d = 5 builds per-cell blocks
-    # of (d + 2)^2 entries, not dense (X, Y, nv, nv) tensors (about 88 MB)
+    # one KKT evaluation on a 30x30 market with d = 5 builds (X, Y) and
+    # (d, X, Y) tables and the KKT matrix itself: no per-cell (d + 2)^2
+    # blocks (1.3 MB of them) and no dense (X, Y, nv, nv) tensors (about 88 MB)
     rng = np.random.default_rng(30)
     X = Y = 30
     d = 5
@@ -250,7 +251,7 @@ def test_mpec_residual_memory_is_per_cell():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 10e6
+    assert peak < 1e6
 
 
 def test_mpec_solve_recovers_planted_parameter():
@@ -347,28 +348,65 @@ def test_mpec_solve_makes_no_least_squares_call(kind, monkeypatch):
 
 @pytest.mark.parametrize("kind", ["TU", "NTU", "ETU", "ITU"])
 def test_cell_hessians_match_the_three_operand_einsum(kind):
-    # reference: H = -P^T D2d P per cell, with P the gradient of (u, v) in
-    # the cell's own variables (theta, a_x, b_y)
+    # reference: per cell, H = -P^T D2d P and g = -P^T Dd, with P the
+    # gradient of (u, v) in the cell's own variables (theta, a_x, b_y),
+    # scattered into (theta, a, b) by np.add.at; mpec_residual assembles
+    # the same KKT system from row and column sums of the cell tables
     rng = np.random.default_rng(7)
     X, Y, d = 5, 4, 3
+    nv = d + X + Y
     spec = _random_spec(rng, kind, X, Y, d)
     theta, a, b = rng.normal(0.0, 0.3, size=d), rng.normal(0.0, 0.3, size=X), rng.normal(0.0, 0.3, size=Y)
+    mu_hat = rng.uniform(1.0, 10.0, size=(X, Y))
+    lam = rng.normal(0.0, 0.3, size=X + Y + 1)
+    norm, K = nz.mean(), 0.1
     fam = spec.family(theta)
     u = -a[:, None] - fam.alpha
     v = -b[None, :] - fam.gamma
-    duu, duv, dvv = (np.broadcast_to(t, (X, Y)) for t in fam.distance.evaluate(u, v)[3:])
+    dist, du, dv, duu, duv, dvv = (np.broadcast_to(t, (X, Y)) for t in fam.distance.evaluate(u, v))
+    Dd = np.stack([du, dv], -1)
     D2d = np.stack([duu, duv, duv, dvv], -1).reshape(X, Y, 2, 2)
     P = np.zeros((X, Y, 2, d + 2))
     P[:, :, 0, :d] = -np.moveaxis(spec.alpha_basis, 0, -1)
     P[:, :, 1, :d] = -np.moveaxis(spec.gamma_basis, 0, -1)
     P[:, :, 0, d] = P[:, :, 1, d + 1] = -1.0
-    ref = -np.einsum("xyik,xyij,xyjl->xykl", P, D2d, P)
+    H = -np.einsum("xyik,xyij,xyjl->xykl", P, D2d, P)
+    g = -np.einsum("xyi,xyik->xyk", Dd, P)
 
-    _, _, H, _ = _cell_blocks(spec, theta, a, b, hessian=True)
-    assert H.shape == (X, Y, d + 2, d + 2)
-    assert np.all(np.abs(H - ref) <= 1e-14 * (1.0 + np.abs(ref)))
+    idx = np.empty((X, Y, d + 2), dtype=int)
+    idx[:, :, :d] = np.arange(d)
+    idx[:, :, d] = d + np.arange(X)[:, None]
+    idx[:, :, d + 1] = d + X + np.arange(Y)
+    M = np.exp(-dist)
+    W = M / M.sum()
+    N_hat = mu_hat.sum()
+    DG = np.zeros((X + Y + 1, nv))
+    for x in range(X):
+        for y in range(Y):
+            np.add.at(DG[x], idx[x, y], M[x, y] * g[x, y])
+            np.add.at(DG[X + y], idx[x, y], M[x, y] * g[x, y])
+    p = np.concatenate([-a, b])
+    DG[-1, d:] = norm.grad(p) * np.concatenate([-np.ones(X), np.ones(Y)])
+    G = np.concatenate([M.sum(axis=1) - mu_hat.sum(axis=1), M.sum(axis=0) - mu_hat.sum(axis=0), [norm(p) - K]])
+    DlogN, Dl = np.zeros(nv), np.zeros(nv)
+    np.add.at(DlogN, idx, W[:, :, None] * g)
+    np.add.at(Dl, idx, mu_hat[:, :, None] * g)
+    Dl -= N_hat * DlogN
+    # the weights of _kkt_system: cell (x, y) adds c1 H + c2 g g^T
+    LM = (lam[:X, None] + lam[None, X : X + Y]) * M
+    c1 = mu_hat - N_hat * W + LM
+    c2 = LM - N_hat * W
+    D2L = N_hat * np.outer(DlogN, DlogN)
+    blocks = c1[:, :, None, None] * H + c2[:, :, None, None] * np.einsum("xyk,xyl->xykl", g, g)
+    np.add.at(D2L, (idx[:, :, :, None], idx[:, :, None, :]), blocks)
+    Psi_ref = np.concatenate([Dl + lam @ DG, G])
+    J_ref = np.block([[D2L, DG.T], [DG, np.zeros((X + Y + 1, X + Y + 1))]])
+
+    Psi, J = mpec_residual(spec, mu_hat, norm, K, theta, a, b, lam)
+    assert np.all(np.abs(Psi - Psi_ref) <= 1e-14 * (1.0 + np.abs(Psi_ref)))
+    assert np.all(np.abs(J - J_ref) <= 1e-14 * (1.0 + np.abs(J_ref)))
     if kind in ("ETU", "ITU"):
-        assert np.max(np.abs(ref)) > 0.1
+        assert np.max(np.abs(H)) > 0.1
 
 
 def test_frontier_cell_blocks_make_one_root_solve(monkeypatch):
