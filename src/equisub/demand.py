@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.special import softmax
@@ -53,9 +53,12 @@ def invert_logit(shares: np.ndarray, anchor: int = 0, K: float = 0.0) -> np.ndar
 class DemandModel:
     """Random-utility demand with frozen simulation draws.
 
-    utilities(delta, eps) maps a quality vector (Z,) and a draw matrix
-    (R, Z) to an (R, Z) utility matrix.  closed_form, when given, is the
-    exact share map and takes precedence in system construction.
+    Simulated consumer r picks argmax_z delta_z + draws[r, z], draws (R, Z).
+    utilities(delta, eps) -> (R, Z) is the structural index that
+    check_utility_regularity probes; no share map reads it.  closed_form
+    is the share map and takes precedence: a simulator not additive in
+    delta goes there, and its inversion needs explicit SolverOptions
+    (tolerances near 10/R, refine_factor 1.0).
     """
 
     dim: int
@@ -64,14 +67,13 @@ class DemandModel:
     closed_form: Optional[Callable[[np.ndarray], np.ndarray]] = None
     bounds: Optional[Bounds] = None
     label: str = "demand"
-    # (C, D) with C > 0 such that delta[None, :] * C + D picks the same
-    # argmax per consumer as utilities; enables the exact order-statistic
-    # sweep, and C all ones makes the shares translation-invariant
-    affine_parts: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def __post_init__(self):
-        if self.closed_form is None and (self.utilities is None or self.draws is None):
-            raise DimensionMismatch("need either a closed form or utilities plus draws")
+        if self.closed_form is None and self.draws is None:
+            raise DimensionMismatch("need either a closed form or draws")
+        shape = (1, self.dim) if self.draws is None else np.shape(self.draws)
+        if len(shape) != 2 or shape[0] < 1 or shape[1] != self.dim:
+            raise DimensionMismatch(f"draws must be (R, {self.dim}) with R >= 1, got {shape}")
         if self.bounds is None:
             object.__setattr__(self, "bounds", Bounds.unbounded(self.dim))
 
@@ -90,7 +92,6 @@ def logit_mc_model(dim: int, R: int, seed: int) -> DemandModel:
         utilities=lambda d, e: d[None, :] + e,
         draws=draws,
         label="logit-mc",
-        affine_parts=(np.ones_like(draws), draws),
     )
 
 
@@ -111,7 +112,6 @@ def rc_logit_model(x: np.ndarray, sigmas: np.ndarray, R: int, seed: int) -> Dema
         utilities=lambda d, e: d[None, :] + e,
         draws=draws,
         label="rc-logit",
-        affine_parts=(np.ones_like(draws), draws),
     )
 
 
@@ -130,7 +130,6 @@ def pure_characteristics_model(x: np.ndarray, R: int, seed: int, scale: float = 
         utilities=lambda d, e: d[None, :] + e,
         draws=draws,
         label="pure-characteristics",
-        affine_parts=(np.ones_like(draws), draws),
     )
 
 
@@ -140,25 +139,22 @@ def bridge_model(tolls: np.ndarray, R: int, seed: int, beta: float = 0.0) -> Dem
     U_z = beta - toll_z + delta_z * exp(-eps), eps ~ N(0,1) scalar per
     consumer (a value-of-time draw shared across routes).  The model is a
     valid substitutes system only on delta < 0, which the bounds encode.
-    Dividing by exp(-eps) > 0 keeps each consumer's argmax, so the choice
-    parts delta_z + (beta - toll_z) * exp(eps) are additive.
+    Dividing by exp(-eps) > 0 keeps each consumer's argmax, so the draws
+    are the additive choice parts (beta - toll_z) * exp(eps).
     """
     tolls = np.asarray(tolls, dtype=float)
-    Z = tolls.size
     rng = np.random.default_rng(seed)
     eps = rng.normal(size=R)
-    draws = np.repeat(eps[:, None], Z, axis=1)
 
     def utilities(delta, e):
         return beta - tolls[None, :] + delta[None, :] * np.exp(-e)
 
     return DemandModel(
-        dim=Z,
+        dim=tolls.size,
         utilities=utilities,
-        draws=draws,
-        bounds=Bounds(np.full(Z, -np.inf), np.zeros(Z)),
+        draws=(beta - tolls[None, :]) * np.exp(eps)[:, None],
+        bounds=Bounds(np.full(tolls.size, -np.inf), np.zeros(tolls.size)),
         label="bridge",
-        affine_parts=(np.ones_like(draws), (beta - tolls[None, :]) * np.exp(draws)),
     )
 
 
@@ -167,10 +163,9 @@ def demand_mc(model: DemandModel, delta: np.ndarray) -> np.ndarray:
 
     Ties go to the lowest index, matching np.argmax.
     """
-    if model.utilities is None or model.draws is None:
-        raise DimensionMismatch("model has no simulation structure")
-    delta = np.asarray(delta, dtype=float)
-    U = model.utilities(delta, model.draws)
+    if model.draws is None:
+        raise DimensionMismatch("model has no simulation draws")
+    U = np.asarray(delta, dtype=float)[None, :] + model.draws
     if not np.all(np.isfinite(U)):
         raise DegenerateUtility("simulated utilities are nonfinite")
     picks = np.argmax(U, axis=1)
@@ -184,26 +179,25 @@ def shares(model: DemandModel, delta: np.ndarray) -> np.ndarray:
 
 
 def _mc_sweep(model: DemandModel):
-    # With U_rz = t * C_rz + D_rz and the other qualities held fixed,
-    # consumer r switches into good z as t passes (max_{j != z} U_rj - D_rz)/C_rz,
+    # With U_rz = t + D_rz and the other qualities held fixed, consumer r
+    # switches into good z as t passes max_{j != z} U_rj - D_rz,
     # so the simulated share section is a step function whose target-level
     # left root is an order statistic of the switch points.  A good's best
     # rival is the top good, or the runner-up where it is itself a top good
     # (a lone good is its own rival; with no free good its root is unused).
-    C, D = model.affine_parts
-    R, Z = C.shape
+    D = model.draws
+    R, Z = D.shape
     goods = np.arange(Z)
 
     def sweep(q, p, pin):
         # the k-th switch point lifts the share to k / R; a target outside
         # (0, 1] has no root and its clipped k leaves the solve unconverged
         k = np.clip(np.ceil(q * R - 1e-9).astype(int), 1, R) - 1
-        U = p[None, :] * C + D
+        U = p[None, :] + D
         top2 = np.partition(U, max(Z - 2, 0), axis=1)[:, -2:]
         runner_up, best = top2[:, :1], top2[:, -1:]
         rival = np.where(U == best, runner_up, best)
-        t = (rival - D) / C
-        return np.partition(t, np.unique(k), axis=0)[k, goods]
+        return np.partition(rival - D, np.unique(k), axis=0)[k, goods]
 
     return sweep
 
@@ -217,8 +211,8 @@ def build_demand_system(model: DemandModel) -> SupplySystem:
     substitutability can only overstate Q_k(p) and reads only p[0] and
     p[k]; its rows go through eval_batch as one (Z-1, Z) batch when the
     system has one, and through one share evaluation per row otherwise.
-    Exact logit and simulated models with unit affine slopes (every shipped
-    one, the bridge included) are translation-invariant on any box.
+    Exact logit and simulated models (argmax of delta + draws) get closed
+    sweeps and are translation-invariant on any box; other maps bisect.
     """
     Z = model.dim
     free = np.arange(1, Z)
@@ -227,12 +221,10 @@ def build_demand_system(model: DemandModel) -> SupplySystem:
         return shares(model, p)
 
     batch = sweep = None
-    additive = False  # argmax of delta + D (or logit): shares see only differences
     # unwrapped on both sides, so a wrapper around demand_logit (installed
     # before or after the model was built) still selects the closed form
     if inspect.unwrap(model.closed_form) is inspect.unwrap(demand_logit):
         batch = demand_logit
-        additive = True
 
         def sweep(q, p, pin):
             # the target shares determine the qualities up to translation and
@@ -240,9 +232,8 @@ def build_demand_system(model: DemandModel) -> SupplySystem:
             # root (the monotone iteration's limit from any subsolution)
             return p[pin] + np.log(q) - np.log(q[pin])
 
-    elif model.closed_form is None and model.affine_parts is not None:
+    elif model.closed_form is None:
         sweep = _mc_sweep(model)
-        additive = bool(np.all(model.affine_parts[0] == 1.0))
 
     def envelope(p):
         rows = np.repeat(np.minimum(p[0], p[free])[:, None] - 40.0, Z, axis=1)
@@ -260,7 +251,7 @@ def build_demand_system(model: DemandModel) -> SupplySystem:
         subsolution_hints=SubsolutionHints(ordering=(0, free), envelopes=(envelope,)),
         eval_batch=batch,
         sweep_solver=sweep,
-        translation_invariant=additive,
+        translation_invariant=sweep is not None,
     )
 
 
@@ -282,8 +273,11 @@ def invert_demand(
     """Recover qualities from shares under psi(delta) = K.
 
     Simulated shares move in steps of about 1/R, below which no re-solve
-    can refine: for a simulated model opts defaults to tolerances of 10/R,
-    and refinement is off (refine_factor 1.0) whatever opts is given.
+    can refine: for a model with draws opts defaults to outer and bracket
+    tolerances of 10/R (its order-statistic sweep has no inner one), and
+    refinement is off (refine_factor 1.0) whatever opts is given.  A
+    simulator passed as closed_form needs explicit SolverOptions
+    (tolerances near 10/R, refine_factor 1.0).
     """
     s = np.asarray(s, dtype=float)
     if s.shape != (model.dim,):
@@ -293,7 +287,7 @@ def invert_demand(
     if model.closed_form is None:
         if opts is None:
             tol = max(10.0 / model.draws.shape[0], 1e-9)
-            opts = SolverOptions(tol_outer=tol, tol_inner=max(1e-10, 1e-2 * tol), tol_bracket=tol)
+            opts = SolverOptions(tol_outer=tol, tol_bracket=tol)
         opts = replace(opts, refine_factor=1.0)
     system = build_demand_system(model)
     rep = solve_normalized(system, s, norm, K, opts or SolverOptions(), pin_guess=pin_guess)
@@ -312,7 +306,7 @@ def check_utility_regularity(
     """
     rep = PropertyReport("utility_regularity", 0)
     if model.utilities is None:
-        rep.notes = "closed-form model; probes skipped"
+        rep.notes = "no utility index; probes skipped"
         return rep
     Z = model.dim
     if delta_grid is None:

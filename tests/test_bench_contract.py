@@ -106,11 +106,13 @@ def test_estimate_workload_instances_pass_their_checks(workload, cycles, tmp_pat
 
 @pytest.mark.parametrize("seed", [4, 7, 11])
 def test_invert_cli_bridge_mean_instances_pass(seed, tmp_path):
-    # the bridge under mean psi on the 30 s invert-cli lists of these seeds
-    # (36 instances), where a dichotomy that solves every pin stalls on 4
+    # the bridge under mean and coordinate psi on the 30 s invert-cli lists
+    # of these seeds (72 instances), where a dichotomy that solves every pin
+    # stalls on 4 mean-psi ones, and where the share map's argmax over the
+    # additive draws must keep every answer within the 10-draw check
     w = WORKLOADS["invert-cli"]
     for i, inst in enumerate(generate(w, seed, tmp_path, w.list_cycles(30))):
-        if inst.kind == "bridge-4-mean":
+        if inst.kind.startswith("bridge-4-"):
             status, detail = inst.check(inst.run())
             assert status == "pass", (i, detail)
 

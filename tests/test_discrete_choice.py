@@ -99,6 +99,14 @@ def test_rc_logit_collapses_to_logit_at_zero_sigma():
     assert np.all(np.abs(s_mc - s_cf) <= mc_band(s_cf, 200_000))
 
 
+@pytest.mark.parametrize("shape", [(1000, 1), (1000, 4), (0, 3), (3,), (10, 3, 1)])
+def test_model_rejects_draws_that_are_not_one_row_per_consumer(shape):
+    # (R, 1) draws would broadcast against three qualities and give every
+    # consumer good 0; draws need one column per good and at least one row
+    with pytest.raises(DimensionMismatch):
+        DemandModel(dim=3, utilities=lambda d, e: d[None, :] + e, draws=np.zeros(shape))
+
+
 def test_mc_draws_deterministic_in_seed():
     a = demand_mc(logit_mc_model(3, R=10_000, seed=12), np.array([0.1, 0.0, -0.1]))
     b = demand_mc(logit_mc_model(3, R=10_000, seed=12), np.array([0.1, 0.0, -0.1]))
@@ -128,6 +136,20 @@ def test_invert_demand_starts_the_dichotomy_at_pin_guess():
     lo, hi = res.report.bracket_history[0]
     assert lo <= 4.0 <= hi
     assert np.max(np.abs(res.delta - invert_logit(s, K=-np.mean(np.log(s / s[0]))))) <= 1e-8
+
+
+def test_share_map_model_inverts_by_bisection():
+    # a share map passed as closed_form (how a simulator that is not
+    # additive in delta is given) gets the generic bisection sweep, with no
+    # batch and no translation shortcut
+    model = DemandModel(dim=3, closed_form=lambda d: demand_logit(2.0 * d))
+    system = build_demand_system(model)
+    assert system.sweep_solver is None
+    assert system.eval_batch is None
+    assert not system.translation_invariant
+    s = np.array([0.5, 0.3, 0.2])
+    res = invert_demand(model, s, nz.coordinate(0), 0.0)
+    assert np.max(np.abs(res.delta - invert_logit(s) / 2.0)) <= 1e-12
 
 
 def test_invert_simulated_logit_round_trip():
@@ -189,17 +211,18 @@ def test_invert_bridge_mean_psi_shifts_inside_its_box():
     assert abs(res.delta.mean() - delta0.mean()) <= 10.0 / R
 
 
-def test_bridge_affine_parts_pick_the_structural_argmax():
-    # each consumer's utilities divided by exp(-eps) > 0: unit slopes, and
-    # the same route for every consumer as the structural utilities
-    model = bridge_model(np.array([0.0, 0.5, 1.0, 1.5]), R=2000, seed=5)
-    C, D = model.affine_parts
-    assert np.all(C == 1.0)
+def test_bridge_draws_pick_the_structural_argmax():
+    # each consumer's utilities divided by exp(-eps) > 0: the draws are
+    # additive choice parts that pick the same route for every consumer as
+    # the structural utilities at the model's own shocks
+    R, seed = 2000, 5
+    model = bridge_model(np.array([0.0, 0.5, 1.0, 1.5]), R=R, seed=seed)
+    eps = np.repeat(np.random.default_rng(seed).normal(size=R)[:, None], 4, axis=1)
     rng = np.random.default_rng(0)
     for _ in range(20):
         delta = rng.uniform(-3.0, 0.0, 4)
-        picks = np.argmax(model.utilities(delta, model.draws), axis=1)
-        assert np.array_equal(np.argmax(delta[None, :] * C + D, axis=1), picks)
+        picks = np.argmax(model.utilities(delta, eps), axis=1)
+        assert np.array_equal(np.argmax(delta[None, :] + model.draws, axis=1), picks)
 
 
 @pytest.mark.parametrize(
@@ -216,8 +239,8 @@ def test_mc_sweep_equals_per_good_order_statistic(model):
     # against its best rival, and the order statistic that lifts the
     # simulated share to the target
     system = build_demand_system(model)
-    C, D = model.affine_parts
-    R = C.shape[0]
+    D = model.draws
+    R = D.shape[0]
     lo_in = model.bounds.lower + BOUND_MARGIN
     hi_in = model.bounds.upper - BOUND_MARGIN
     # negative qualities near the bridge's tested range, where every route
@@ -237,9 +260,9 @@ def test_mc_sweep_equals_per_good_order_statistic(model):
         for z in range(4):
             if z == pin:
                 continue
-            U = p[None, :] * C + D
+            U = p[None, :] + D
             U[:, z] = -np.inf
-            t_r = np.sort((U.max(axis=1) - D[:, z]) / C[:, z])
+            t_r = np.sort(U.max(axis=1) - D[:, z])
             k = int(np.ceil(q[z] * R - 1e-9))
             assert got[z] == np.clip(t_r[k - 1], lo_in[z], hi_in[z])
     assert checked >= 3
