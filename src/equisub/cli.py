@@ -27,6 +27,7 @@ from .errors import EquisubError, SolverFailure
 from .solver import SolverOptions
 
 SCHEMA_VERSION = 1
+TOLERANCE_KEYS = {"outer": "tol_outer", "bracket": "tol_bracket"}  # config key -> SolverOptions field
 
 
 class ConfigError(Exception):
@@ -56,11 +57,10 @@ def _norm_from_config(cfg):
 
 def _opts_from_config(cfg):
     tol = cfg.get("tolerances", {})
-    return SolverOptions(
-        tol_outer=float(tol.get("outer", 1e-9)),
-        tol_inner=float(tol.get("inner", 1e-12)),
-        tol_bracket=float(tol.get("bracket", 1e-9)),
-    )
+    unknown = sorted(set(tol) - set(TOLERANCE_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown tolerances {unknown}; the keys are {sorted(TOLERANCE_KEYS)}")
+    return SolverOptions(**{TOLERANCE_KEYS[k]: float(v) for k, v in tol.items()})
 
 
 def _write_report(out_dir, name, payload):
@@ -250,17 +250,14 @@ def cmd_estimate(cfg, out_dir, args):
         sp = cfg["spec"]
         kind = sp.get("kind", "TU").upper()
         if kind == "TU":
-            spec = est.tu_surplus_spec(
-                np.asarray(sp.get("phi0", np.zeros_like(mu_hat).tolist()), dtype=float),
-                np.asarray(sp["basis"], dtype=float),
-            )
+            spec = est.tu_surplus_spec(sp.get("phi0", np.zeros_like(mu_hat)), sp["basis"])
         elif kind == "ETU":
             spec = est.ThetaSpec(
                 kind="ETU",
-                alpha0=np.asarray(sp.get("alpha0", np.zeros_like(mu_hat).tolist()), dtype=float),
-                gamma0=np.asarray(sp.get("gamma0", np.zeros_like(mu_hat).tolist()), dtype=float),
-                alpha_basis=np.asarray(sp["alpha_basis"], dtype=float),
-                gamma_basis=np.asarray(sp["gamma_basis"], dtype=float),
+                alpha0=sp.get("alpha0", np.zeros_like(mu_hat)),
+                alpha_basis=sp["alpha_basis"],
+                gamma0=sp.get("gamma0"),
+                gamma_basis=sp["gamma_basis"],
             )
         else:
             raise ConfigError(f"unsupported spec kind {kind!r}")

@@ -41,11 +41,15 @@ def demand_logit(delta: np.ndarray) -> np.ndarray:
     return softmax(delta, axis=-1)
 
 
+def _check_shares(s: np.ndarray) -> None:
+    if not np.all(s > 0) or abs(s.sum() - 1.0) > 1e-8:  # NaN fails s > 0, inf the sum
+        raise DimensionMismatch("shares must be strictly positive and sum to one")
+
+
 def invert_logit(shares: np.ndarray, anchor: int = 0, K: float = 0.0) -> np.ndarray:
     """Closed-form inversion: delta_z = log(s_z / s_anchor) + K."""
     s = np.asarray(shares, dtype=float)
-    if np.any(s <= 0) or abs(s.sum() - 1.0) > 1e-8:
-        raise DimensionMismatch("shares must be strictly positive and sum to one")
+    _check_shares(s)
     return np.log(s) - np.log(s[anchor]) + K
 
 
@@ -158,6 +162,13 @@ def bridge_model(tolls: np.ndarray, R: int, seed: int, beta: float = 0.0) -> Dem
     )
 
 
+def _check_qualities(model: DemandModel, delta: np.ndarray) -> np.ndarray:
+    delta = np.asarray(delta, dtype=float)
+    if delta.shape[-1:] != (model.dim,):
+        raise DimensionMismatch(f"quality vector needs {model.dim} entries, got shape {delta.shape}")
+    return delta
+
+
 def demand_mc(model: DemandModel, delta: np.ndarray) -> np.ndarray:
     """Simulated shares: frequency of each good being the argmax.
 
@@ -165,7 +176,7 @@ def demand_mc(model: DemandModel, delta: np.ndarray) -> np.ndarray:
     """
     if model.draws is None:
         raise DimensionMismatch("model has no simulation draws")
-    U = np.asarray(delta, dtype=float)[None, :] + model.draws
+    U = _check_qualities(model, delta)[None, :] + model.draws
     if not np.all(np.isfinite(U)):
         raise DegenerateUtility("simulated utilities are nonfinite")
     picks = np.argmax(U, axis=1)
@@ -174,7 +185,7 @@ def demand_mc(model: DemandModel, delta: np.ndarray) -> np.ndarray:
 
 def shares(model: DemandModel, delta: np.ndarray) -> np.ndarray:
     if model.closed_form is not None:
-        return np.asarray(model.closed_form(np.asarray(delta, dtype=float)), dtype=float)
+        return np.asarray(model.closed_form(_check_qualities(model, delta)), dtype=float)
     return demand_mc(model, delta)
 
 
@@ -273,17 +284,16 @@ def invert_demand(
     """Recover qualities from shares under psi(delta) = K.
 
     Simulated shares move in steps of about 1/R, below which no re-solve
-    can refine: for a model with draws opts defaults to outer and bracket
-    tolerances of 10/R (its order-statistic sweep has no inner one), and
-    refinement is off (refine_factor 1.0) whatever opts is given.  A
-    simulator passed as closed_form needs explicit SolverOptions
-    (tolerances near 10/R, refine_factor 1.0).
+    can refine: for a model with draws opts defaults to tolerances of
+    10/R, and refinement is off (refine_factor 1.0) whatever opts is
+    given.  A simulator passed as closed_form needs explicit SolverOptions
+    (tolerances near 10/R, refine_factor 1.0).  A share vector that is not
+    positive (NaN included) or does not sum to one raises DimensionMismatch.
     """
     s = np.asarray(s, dtype=float)
     if s.shape != (model.dim,):
         raise DimensionMismatch("share vector has the wrong length")
-    if np.any(s <= 0) or abs(s.sum() - 1.0) > 1e-8:
-        raise DimensionMismatch("shares must be strictly positive and sum to one")
+    _check_shares(s)
     if model.closed_form is None:
         if opts is None:
             tol = max(10.0 / model.draws.shape[0], 1e-9)

@@ -8,7 +8,7 @@ where mu solves the accounting and normalization constraints at theta.
 """
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -48,43 +48,28 @@ class ThetaSpec:
     """Linear-in-parameters map theta -> matching family.
 
     The preference tables are alpha(theta) = alpha0 + sum_k theta_k *
-    alpha_basis[k] (gamma alike).  A surplus table phi(theta) = phi0 + sum_k
-    theta_k * phi_basis[k] (the usual NTU spec) is the split alpha = phi,
-    gamma = 0: phi0 and phi_basis stand for alpha0 and alpha_basis.
+    alpha_basis[k] (gamma alike, each gamma table zeros unless given).  A
+    surplus table phi(theta) (the usual NTU spec) is the split alpha = phi,
+    gamma = 0.
     """
 
     kind: str
-    alpha0: Optional[np.ndarray] = None
+    alpha0: np.ndarray
+    alpha_basis: np.ndarray  # (d, X, Y)
     gamma0: Optional[np.ndarray] = None
-    phi0: InitVar[Optional[np.ndarray]] = None
-    alpha_basis: Optional[np.ndarray] = None  # (d, X, Y)
     gamma_basis: Optional[np.ndarray] = None
-    phi_basis: InitVar[Optional[np.ndarray]] = None
     distance: Optional[DistanceFamily] = None
 
-    def __post_init__(self, phi0, phi_basis):
-        def table(t, shape):
-            return np.asarray(t, dtype=float) if t is not None else np.zeros(shape)
-
-        alpha0 = self.alpha0 if phi0 is None else phi0
-        alpha_basis = self.alpha_basis if phi_basis is None else phi_basis
-        # the last given table fixes the shape (else the last basis), and the
-        # last given basis fixes d
-        tables = [np.shape(t) for t in (alpha0, self.gamma0) if t is not None]
-        bases = [np.shape(t) for t in (alpha_basis, self.gamma_basis) if t is not None]
-        if not tables and not bases:
-            raise DimensionMismatch("cannot infer the table shape")
-        shape = tables[-1] if tables else bases[-1][1:]
-        d = bases[-1][0] if bases else 0
-        alpha0 = table(alpha0, shape)
-        gamma0 = table(self.gamma0, shape)
-        ab = table(alpha_basis, (d,) + alpha0.shape)
-        gb = table(self.gamma_basis, (d,) + gamma0.shape)
-        if ab.shape != gb.shape:
-            raise DimensionMismatch("alpha and gamma bases must share a shape")
+    def __post_init__(self):
+        alpha0 = np.asarray(self.alpha0, dtype=float)
+        ab = np.asarray(self.alpha_basis, dtype=float)
+        gamma0 = np.zeros_like(alpha0) if self.gamma0 is None else np.asarray(self.gamma0, dtype=float)
+        gb = np.zeros_like(ab) if self.gamma_basis is None else np.asarray(self.gamma_basis, dtype=float)
+        if ab.shape != gb.shape or ab.shape[1:] != alpha0.shape:
+            raise DimensionMismatch("alpha and gamma bases must both be (d,) + the table shape")
         for name, value in (("alpha0", alpha0), ("gamma0", gamma0), ("alpha_basis", ab), ("gamma_basis", gb)):
             object.__setattr__(self, name, value)
-        self.family(np.zeros(d))  # MatchingFamily's checks of kind and distance, at construction
+        self.family(np.zeros(ab.shape[0]))  # MatchingFamily's checks of kind, shapes and distance
 
     @property
     def dim(self) -> int:
@@ -107,7 +92,7 @@ def tu_surplus_spec(phi0: np.ndarray, basis: np.ndarray) -> ThetaSpec:
     The split alpha = phi, gamma = 0 is immaterial for TU equilibrium
     objects, which depend on the tables only through their sum.
     """
-    return ThetaSpec(kind="TU", phi0=phi0, phi_basis=basis)
+    return ThetaSpec(kind="TU", alpha0=phi0, alpha_basis=basis)
 
 
 # ----------------------------------------------------------------------
@@ -117,7 +102,7 @@ def tu_surplus_spec(phi0: np.ndarray, basis: np.ndarray) -> ThetaSpec:
 # gamma_xy and alpha, gamma affine in theta, so its gradient in its own
 # variables (theta, a_x, b_y) is (alpha_basis d_u + gamma_basis d_v, d_u,
 # d_v) and its Hessian has rank 2 (for NTU, DIST_SUM's d_u = d_v = 1 with
-# zero curvature and bases (phi_basis, 0)).  Global derivatives in (theta,
+# zero curvature and bases (alpha_basis, 0)).  Global derivatives in (theta,
 # a, b) are row and column sums of such tables, and the nested gradient is
 # one adjoint solve with the saddle-point multipliers.
 

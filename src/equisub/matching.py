@@ -265,8 +265,9 @@ class MarketPrimitives:
         X, Y = self.family.shape
         if n.shape != (X,) or m.shape != (Y,):
             raise DimensionMismatch("mass vectors must match the family's table shape")
-        if np.any(n <= 0) or np.any(m <= 0):
-            raise DimensionMismatch("masses must be strictly positive")
+        # NaN fails both comparisons, and no infinite mass reaches the balance sum
+        if not all(np.all((0 < v) & (v < np.inf)) for v in (n, m)):
+            raise DimensionMismatch("masses must be strictly positive and finite")
         if abs(n.sum() - m.sum()) > 1e-10 * (1.0 + abs(n.sum())):
             raise BalanceViolated(
                 f"total X mass {n.sum():.12g} != total Y mass {m.sum():.12g}"

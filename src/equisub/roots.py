@@ -30,7 +30,6 @@ def expand_bracket(
     *,
     fx0=None,
     closed: bool = False,
-    bound_margin: float = 0.0,
     max_expansions: int = 64,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Bracket the left root of a nondecreasing f, element by element.
@@ -39,9 +38,8 @@ def expand_bracket(
     closed.  An element whose start cannot serve as lo walks down from x0,
     any other walks up, in steps 1, 2, 4, ... (times STEP); lo and hi are
     the last two points of the walk, x0 counting as the first.  Probes stay
-    bound_margin inside the open box (lower, upper).  fx0 is f(x0) when the
-    caller already has it; +inf or -inf forces a walk down or up without
-    evaluating f at x0.
+    in the box [lower, upper].  fx0 is f(x0) when the caller already has
+    it; +inf or -inf forces a walk down or up without evaluating f at x0.
 
     Raises NoBracket, naming the first failing element, when a walk hits
     the box or has not crossed after max_expansions doublings of the step.
@@ -50,13 +48,12 @@ def expand_bracket(
     fx = np.zeros(x0.shape) + (f(x0) if fx0 is None else fx0)
     down = fx > 0 if closed else fx >= 0
     sign = np.where(down, -1.0, 1.0)
-    lo_in, hi_in = np.add(lower, bound_margin), np.subtract(upper, bound_margin)
 
     step = STEP
     last = prev = x0
     todo = np.ones(x0.shape, dtype=bool)
     for _ in range(max_expansions + 1):
-        probe = np.where(todo, np.minimum(np.maximum(last + sign * step, lo_in), hi_in), last)
+        probe = np.where(todo, np.minimum(np.maximum(last + sign * step, lower), upper), last)
         failed = todo & (sign * (probe - last) <= 0)
         if failed.any():
             reason = "keeps its sign up to the bound"

@@ -32,19 +32,18 @@ from .system import SupplySystem, eval_supply
 # residual a sweep fixed point may keep per unit of ||q||_1 from rounding
 ROUNDING_FLOOR = 64 * np.finfo(float).eps
 BOUND_MARGIN = 1e-9      # sweep roots and probes lie this far inside bounds
+MAX_SWEEPS = 10_000      # sweeps of one pinned solve
 MAX_ITER_BRACKET = 200   # halvings of the dichotomy on the pinned value
 
 
 @dataclass(frozen=True)
 class SolverOptions:
-    tol_outer: float = 1e-9          # sup-norm residual and step at convergence
-    tol_inner: float = 1e-12         # scalar root bracket width
+    """The algorithm's two stopping rules and its refinement switch."""
+
+    tol_outer: float = 1e-9          # sup-norm residual and step ending a pinned solve
     tol_bracket: float = 1e-9        # dichotomy bracket width on the pinned value
-    max_iter_jacobi: int = 10_000
-    refine_factor: float = 1e-4      # tol_outer shrink for verification
-                                     # re-solves; 1.0 disables refinement
-                                     # (e.g. simulated supply at its
-                                     # resolution floor)
+    refine_factor: float = 1e-4      # tol_outer shrink for tight re-solves; 1.0 turns
+                                     # refinement off (simulated supply at 1/R)
 
 
 @dataclass
@@ -59,9 +58,9 @@ class SolveReport:
 
 
 def _walk(f, x0, system: SupplySystem, z, **kwargs):
-    """expand_bracket inside the open interval of coordinate(s) z."""
+    """expand_bracket BOUND_MARGIN inside the bounds of coordinate(s) z."""
     lower, upper = system.bounds.lower[z], system.bounds.upper[z]
-    return expand_bracket(f, x0, lower, upper, bound_margin=BOUND_MARGIN, **kwargs)
+    return expand_bracket(f, x0, lower + BOUND_MARGIN, upper - BOUND_MARGIN, **kwargs)
 
 
 def bisection_sweep(
@@ -74,8 +73,9 @@ def bisection_sweep(
     """One Jacobi sweep by bracketing and bisection, for any system.
 
     Returns p with every free z set to the left root of Q_z(t, p_-z) = q[z],
-    all sections solved as one array; trial rows go through eval_batch, or
-    eval_fn row by row.  NoBracket names the failing system coordinate.
+    all sections solved as one array and each bisected to a relative width
+    of 1e-3 * tol_outer (at least 1e-14); trial rows go through eval_batch,
+    or eval_fn row by row.  NoBracket names the failing system coordinate.
     """
     p = np.asarray(p, dtype=float)
     free = np.flatnonzero(np.arange(system.dim) != pin)
@@ -96,7 +96,7 @@ def bisection_sweep(
         exc.coordinate = int(free[exc.coordinate])
         raise
     p_new = p.copy()
-    p_new[free] = bisect(sections, lo, hi, opts.tol_inner)[1]
+    p_new[free] = bisect(sections, lo, hi, max(1e-3 * opts.tol_outer, 1e-14))[1]
     return p_new
 
 
@@ -207,7 +207,6 @@ def solve_pinned(
         p = np.asarray(p0, dtype=float).copy()
         p[pin] = pin_value
 
-    free = [z for z in range(system.dim) if z != pin]
     sweep = system.sweep_solver or (lambda q, p, pin: bisection_sweep(system, q, p, pin, opts))
     lo_in, hi_in = system.bounds.lower + BOUND_MARGIN, system.bounds.upper - BOUND_MARGIN
     monotone = True
@@ -222,7 +221,7 @@ def solve_pinned(
             monotone_certificate=monotone,
         )
 
-    for it in range(1, opts.max_iter_jacobi + 1):
+    for it in range(1, MAX_SWEEPS + 1):
         try:
             p_new = np.array(sweep(q, p, pin), dtype=float)
             p_new[pin] = pin_value
@@ -240,9 +239,8 @@ def solve_pinned(
             # the failed sweep counts: report the iterate it started from
             exc.report = report(it)
             raise
-        if np.any(p_new[free] < p[free] - 1e-12):
-            monotone = False
-        step = float(np.max(np.abs(p_new - p))) if free else 0.0
+        monotone = monotone and not np.any(p_new < p - 1e-12)
+        step = float(np.max(np.abs(p_new - p)))
         qval = eval_supply(system, p_new)
         # a fixed point of the sweep map up to rounding (step 0, or a
         # two-cycle in the last bits: a Jacobi sweep at count-sized targets
@@ -313,13 +311,7 @@ def solve_normalized(
 
     hints = system.subsolution_hints
     pin = int(hints.ordering[0]) if hints is not None else 0
-    refining = opts.refine_factor < 1.0
-    tight_opts = replace(
-        opts,
-        tol_outer=max(opts.tol_outer * opts.refine_factor, 1e-13),
-        tol_inner=max(opts.tol_inner * (1e-2 if refining else 1.0), 1e-15),
-        max_iter_jacobi=opts.max_iter_jacobi * (10 if refining else 1),
-    )
+    tight_opts = replace(opts, tol_outer=max(opts.tol_outer * opts.refine_factor, 1e-13))
 
     solves = 0  # real pinned solves; shifts do not count
     warm: Optional[SolveReport] = None  # last real pinned solution
@@ -437,7 +429,7 @@ def solve_normalized(
     extra = 0
     for _ in range(MAX_ITER_BRACKET):
         # once the bracket is narrow the pinned-solve error dominates the
-        # remaining gap, so re-evaluate with tightened inner tolerances
+        # remaining gap, so re-evaluate at the tight tol_outer
         v, rep = phi(lo + 0.5 * width, tight=width < 1e3 * opts.tol_bracket)
         gap = abs(v - K)
         if rep is not None and gap < best_gap:

@@ -1,11 +1,13 @@
 """End-to-end command-line runs against temporary data files."""
 import csv
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from equisub import errors, matching
+from equisub import estimation as est
 from equisub import normalization as nz
 from equisub import solver
 from equisub.cli import main
@@ -224,6 +226,20 @@ def test_invert_deterministic_output(tmp_path):
     assert r1 == r2
 
 
+def test_invert_nan_share_is_config_error(tmp_path):
+    # a NaN share is bad input (exit 1), not a failed solve (exit 2)
+    cfg = invert_config(tmp_path, [0.5, 0.5, float("nan")], model={"family": "logit-mc", "R": 2000, "seed": 1})
+    assert main(["invert", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+
+
+@pytest.mark.parametrize("tolerances", [{"inner": 1e-12}, {"outer": 1e-9, "bracket": 1e-9, "inner": 1e-12}, {"outr": 1e-6}])
+def test_unknown_tolerance_key_is_config_error(tmp_path, tolerances):
+    # the tolerances block sets tol_outer and tol_bracket; any other key
+    # would be silently ignored
+    cfg = invert_config(tmp_path, [0.5, 0.25, 0.25], tolerances=tolerances)
+    assert main(["invert", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+
+
 def test_invert_simulated_mean_psi_reports_the_solve_block(tmp_path):
     R, K = 2000, 0.3
     model = logit_mc_model(4, R, seed=5)
@@ -232,7 +248,7 @@ def test_invert_simulated_mean_psi_reports_the_solve_block(tmp_path):
     # same tolerances given in the config must solve the same way (no
     # refinement below the 1 / R resolution of the shares)
     tol_bracket = 10.0 / R
-    tolerances = {"outer": tol_bracket, "inner": 1e-2 * tol_bracket, "bracket": tol_bracket}
+    tolerances = {"outer": tol_bracket, "bracket": tol_bracket}
     for extra in ({}, {"tolerances": tolerances}):
         cfg = invert_config(
             tmp_path,
@@ -302,6 +318,29 @@ def test_estimate_mle_recovers_parameter(tmp_path):
     assert abs(rep["theta"][0] - 0.7) <= 1e-6
 
 
+def test_estimate_etu_spec_reads_its_tables(tmp_path, monkeypatch):
+    # omitted alpha0 and gamma0 tables are zeros of the data's shape
+    specs = []
+
+    def recorded(spec, mu_hat, norm, K, theta0, opts):
+        specs.append(spec)
+        return SimpleNamespace(theta=theta0, loglik=0.0, gradient_norm=0.0, iterations=0)
+
+    monkeypatch.setattr(est, "mle_nested", recorded)
+    A, G = [[[1.0, 0.0], [0.0, 1.0]]], [[[0.0, 0.5], [0.0, 0.0]]]
+    cfg = write_json(tmp_path / "cfg.json", {
+        "mode": "mle",
+        "matches_csv": planted_matches(tmp_path),
+        "spec": {"kind": "ETU", "alpha_basis": A, "gamma_basis": G},
+        "theta0": [0.0],
+    })
+    assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    (spec,) = specs
+    assert spec.kind == "ETU"
+    assert np.array_equal(spec.alpha0, np.zeros((2, 2))) and np.array_equal(spec.gamma0, np.zeros((2, 2)))
+    assert np.array_equal(spec.alpha_basis, A) and np.array_equal(spec.gamma_basis, G)
+
+
 def test_estimate_flat_likelihood_is_solver_failure(tmp_path):
     cfg = write_json(tmp_path / "cfg.json", {
         "mode": "mle",
@@ -360,7 +399,7 @@ def test_estimate_gmm_follows_the_tolerances_block(tmp_path, monkeypatch):
         return pinned(system, q, pin, pin_value, opts, *args, **kwargs)
 
     monkeypatch.setattr(solver, "solve_pinned", recorded)
-    cfg = gmm_config(tmp_path, 1.5, tolerances={"outer": 1e-3, "inner": 1e-5, "bracket": 1e-3})
+    cfg = gmm_config(tmp_path, 1.5, tolerances={"outer": 1e-3, "bracket": 1e-3})
     assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     assert tols and min(tols) >= 1e-3 * SolverOptions().refine_factor
 

@@ -71,6 +71,31 @@ def test_invert_logit_rejects_bad_shares():
         invert_logit(np.array([1.0, 0.0]))  # zero share
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_nonfinite_shares_are_rejected(bad):
+    # NaN compares false both ways, so only a check that every share is
+    # positive catches it; at the sum it would read as in tolerance
+    s = np.array([0.5, 0.5, bad])
+    with pytest.raises(DimensionMismatch):
+        invert_logit(s)
+    for model in (logit_model(3), logit_mc_model(3, R=2000, seed=1)):
+        with pytest.raises(DimensionMismatch):
+            invert_demand(model, s, nz.mean(), 0.0)
+
+
+@pytest.mark.parametrize(
+    "model", [logit_model(3), logit_mc_model(3, R=1000, seed=0)], ids=["closed-form", "simulated"]
+)
+def test_share_maps_reject_qualities_of_the_wrong_length(model):
+    # a length-1 delta broadcasts against the draws or the closed form
+    for delta in (np.array([5.0]), np.zeros(4), 0.0):
+        with pytest.raises(DimensionMismatch):
+            demand.shares(model, delta)
+    if model.draws is not None:
+        with pytest.raises(DimensionMismatch):
+            demand_mc(model, np.array([5.0]))
+
+
 # ----------------------------------------------------------------------
 # simulated shares
 

@@ -105,10 +105,7 @@ def test_log_likelihood_zero_cell():
 @pytest.mark.parametrize("kind", ["TU", "ETU", "NTU"])
 def test_likelihood_gradient_matches_finite_differences(kind):
     basis = np.array([[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]])
-    if kind == "NTU":
-        spec = ThetaSpec(kind="NTU", phi0=np.zeros((2, 2)), phi_basis=basis)
-    else:
-        spec = ThetaSpec(kind=kind, alpha0=np.zeros((2, 2)), alpha_basis=basis)
+    spec = ThetaSpec(kind=kind, alpha0=np.zeros((2, 2)), alpha_basis=basis)
     norm, K = nz.mean(), 0.0
     theta_data = np.array([0.6, -0.3])
     Pi, _ = predicted_frequencies(spec, theta_data, ONES2, ONES2, norm, K)
@@ -205,7 +202,7 @@ def test_mpec_jacobian_matches_finite_differences(kind):
     nv = d + X + Y
     basis = rng.normal(0.0, 0.5, size=(d, X, Y))
     if kind == "NTU":
-        spec = ThetaSpec(kind="NTU", phi0=np.zeros((X, Y)), phi_basis=basis)
+        spec = ThetaSpec(kind="NTU", alpha0=np.zeros((X, Y)), alpha_basis=basis)
     else:
         spec = ThetaSpec(
             kind=kind, alpha0=rng.normal(0.0, 0.3, size=(X, Y)), alpha_basis=basis,
@@ -267,7 +264,7 @@ def test_mpec_solve_recovers_planted_parameter():
 def _random_spec(rng, kind, X, Y, d):
     basis = rng.normal(0.0, 0.5, size=(d, X, Y))
     if kind == "NTU":
-        return ThetaSpec(kind="NTU", phi0=rng.normal(0.0, 0.3, size=(X, Y)), phi_basis=basis)
+        return ThetaSpec(kind="NTU", alpha0=rng.normal(0.0, 0.3, size=(X, Y)), alpha_basis=basis)
     return ThetaSpec(
         kind=kind, alpha0=rng.normal(0.0, 0.3, size=(X, Y)), gamma0=rng.normal(0.0, 0.3, size=(X, Y)),
         alpha_basis=basis, gamma_basis=rng.normal(0.0, 0.5, size=(d, X, Y)),

@@ -39,6 +39,7 @@ from equisub.solver import (
 from equisub.roots import bisect, expand_bracket, newton
 from equisub.system import Bounds, SubsolutionHints, SupplySystem, eval_supply
 from equisub.demand import (
+    DemandModel,
     bridge_model,
     build_demand_system,
     demand_logit,
@@ -155,11 +156,21 @@ def test_bisection_sweep_left_root_of_flat_interval():
         return np.array([v, -v])
 
     system = SupplySystem(dim=2, eval_fn=Q, bounds=Bounds.unbounded(2))
-    t = bisection_sweep(
-        system, np.array([0.5, -0.5]), np.array([5.0, 0.0]), 1,
-        SolverOptions(tol_inner=1e-12),
-    )[0]
+    t = bisection_sweep(system, np.array([0.5, -0.5]), np.array([5.0, 0.0]), 1)[0]
     assert abs(t - 1.0) < 1e-9
+
+
+def test_bisection_sweep_root_width_follows_tol_outer():
+    # each root is bisected to a relative width of 1e-3 * tol_outer, so a
+    # loose solve makes fewer share evaluations than the 1e-12 default width
+    model = DemandModel(dim=3, closed_form=lambda d: demand_logit(2.0 * d))
+    system = build_demand_system(model)
+    calls = []
+    counted = replace(system, eval_fn=lambda p: calls.append(1) or system.eval_fn(p))
+    q = np.array([0.5, 0.3, 0.2])
+    p = bisection_sweep(counted, q, np.zeros(3), 0, SolverOptions(tol_outer=1e-3))
+    assert len(calls) <= 50
+    assert np.max(np.abs(p - bisection_sweep(system, q, np.zeros(3), 0))) <= 1e-5
 
 
 def test_bisection_sweep_no_bracket():
@@ -422,7 +433,7 @@ def _tu_count_sized_cycle():
     system, q = build_mfe_system(prim)
     system = replace(system, sweep_solver=jacobi_log_linear_sweep(prim.family, 2))
     p0 = np.array([-12.430853301234087, -12.427573300498931, 12.424993962049484, 12.433433974574761])
-    return system, q, 12.424993962049484, p0, SolverOptions(tol_outer=1e-13, max_iter_jacobi=2000)
+    return system, q, 12.424993962049484, p0, SolverOptions(tol_outer=1e-13)
 
 
 def _etu_gradient_cycle():
@@ -434,7 +445,7 @@ def _etu_gradient_cycle():
     q = np.array([-4.000000000000077, -3.999999999999922, 3.999999999999769, 4.00000000000023])
     system, _ = build_mfe_system(MarketPrimitives(family=fam, n=-q[:2], m=q[2:]))
     p0 = np.array([-0.2829316919101304, -0.28293169191047307, 1.0, 0.999999999992707])
-    return system, q, 0.0, p0, SolverOptions(tol_outer=1e-11, max_iter_jacobi=2000)
+    return system, q, 0.0, p0, SolverOptions(tol_outer=1e-11)
 
 
 @pytest.mark.parametrize(
@@ -443,7 +454,7 @@ def _etu_gradient_cycle():
 def test_solve_pinned_stops_at_a_rounding_cycle(case, max_sweeps):
     # a fixed point of the sweep can make no further progress: its residual
     # alone decides, and within the rounding floor it ends as converged, not
-    # spinning to max_iter_jacobi or stopping unconverged on its step
+    # spinning to MAX_SWEEPS or stopping unconverged on its step
     system, q, pin_value, p0, opts = case()
     rep = solve_pinned(system, q, 2, pin_value, opts, p0=p0)
     assert rep.iterations <= max_sweeps
@@ -479,6 +490,33 @@ def test_solve_pinned_ends_unconverged_at_a_fixed_point_above_tolerance():
         solve_pinned(system, np.array([1e-3, -1e-3]), 0, 0.0, p0=np.zeros(2))
     assert info.value.report.iterations == 1
     assert info.value.report.residual == 1e-3
+
+
+@pytest.mark.parametrize("norm, tol_outer", [(mean(), 1e-9), (coordinate(0), 1e-13)], ids=["loose", "tight"])
+def test_pinned_solve_stops_at_max_sweeps(norm, tol_outer, monkeypatch):
+    # a sweep that creeps toward the root by 1e-3 never settles: every pinned
+    # solve, loose (the first probe of a dichotomy) or tight (psi reads the
+    # pin), ends after MAX_SWEEPS sweeps
+    system = SupplySystem(
+        dim=2,
+        eval_fn=lambda p: np.array([p[0] - p[1], p[1] - p[0]]),
+        bounds=Bounds.unbounded(2),
+        subsolution_hints=SubsolutionHints(ordering=(0, np.array([1])), envelopes=(lambda p: p[1:] - p[0],)),
+        sweep_solver=lambda q, p, pin: p + 1e-3,
+    )
+    tols = []
+    pinned = solver.solve_pinned
+
+    def recorded(system, q, pin, pin_value, opts, *args, **kwargs):
+        tols.append(opts.tol_outer)
+        return pinned(system, q, pin, pin_value, opts, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "MAX_SWEEPS", 7)
+    monkeypatch.setattr(solver, "solve_pinned", recorded)
+    with pytest.raises(MaxIterExceeded) as info:
+        solve_normalized(system, np.array([-1.0, 1.0]), norm, 0.0)
+    assert tols == [pytest.approx(tol_outer)]
+    assert info.value.report.iterations == 7
 
 
 def test_jacobi_iterates_monotone_from_cold_start(tu_2x2_diag, logit3):
