@@ -42,17 +42,16 @@ def _load_config(path):
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
+_NORMALIZATIONS = {"mean": nm.mean, "max": nm.max_coordinate, "min": nm.min_coordinate}
+
+
 def _norm_from_config(cfg):
     kind = cfg.get("kind", "coordinate")
     if kind == "coordinate":
         return nm.coordinate(int(cfg.get("index", 0)))
-    if kind == "mean":
-        return nm.mean()
-    if kind == "max":
-        return nm.max_coordinate()
-    if kind == "min":
-        return nm.min_coordinate()
-    raise ConfigError(f"unknown normalization kind {kind!r}")
+    if kind not in _NORMALIZATIONS:
+        raise ConfigError(f"unknown normalization kind {kind!r}")
+    return _NORMALIZATIONS[kind]()
 
 
 def _opts_from_config(cfg):
@@ -304,6 +303,7 @@ def cmd_check(cfg, out_dir, args):
         system, q = mt.build_mfe_system(_market_from_config(cfg)[2])
     elif target == "demand":
         _, (s,) = _read_columns(cfg["shares_csv"], ["share"])
+        dm._check_shares(s)  # the target invert_demand accepts
         model = _model_from_config(cfg.get("model", {}), s.size, args.seed)
         system = dm.build_demand_system(model)
         q = s

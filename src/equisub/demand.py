@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import softmax
 
-from .diagnostics import PropertyReport
+from .diagnostics import PropertyReport, probe_range
 from .errors import (
     DegenerateUtility,
     DimensionMismatch,
@@ -320,12 +320,7 @@ def check_utility_regularity(
         return rep
     Z = model.dim
     if delta_grid is None:
-        hi = np.where(np.isfinite(model.bounds.upper), model.bounds.upper - 1e-6, 3.0)
-        lo = np.where(np.isfinite(model.bounds.lower), model.bounds.lower + 1e-6, -3.0)
-        delta_grid = np.stack(
-            [np.linspace(l, h, 7) for l, h in zip(np.maximum(lo, -3.0), np.minimum(hi, 3.0))],
-            axis=1,
-        )
+        delta_grid = np.linspace(*probe_range(model.bounds, 3.0), 7)
 
     h = 1e-4
     count = 0

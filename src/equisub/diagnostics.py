@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import GridTooLarge
 from .solver import BOUND_MARGIN
-from .system import SupplySystem
+from .system import Bounds, SupplySystem
 
 DEFAULT_BOX = 5.0
 PROBE_MAGNITUDES = (10.0, 20.0, 40.0)
@@ -46,18 +46,18 @@ class GridSpec:
         return np.arange(self.lows[i], self.highs[i] + 0.5 * self.step, self.step)
 
 
+def probe_range(bounds: Bounds, box) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-coordinate (lo, hi) of the probes: the user box (+/-box for a
+    scalar) within the bound box shrunk by 1e-6 on its finite sides."""
+    lo, hi = (-float(box), float(box)) if np.isscalar(box) else box
+    return np.maximum(lo, bounds.lower + 1e-6), np.minimum(hi, bounds.upper - 1e-6)
+
+
 def _setup(name: str, system: SupplySystem, samples: int, seed: int, box):
     """A check's empty report, its generator and its sample points: uniform
-    draws over the user box intersected with the open bound box."""
+    draws over probe_range (box DEFAULT_BOX unless given)."""
     rng = np.random.default_rng(seed)
-    if box is None:
-        box = (-DEFAULT_BOX, DEFAULT_BOX)
-    elif np.isscalar(box):
-        box = (-float(box), float(box))
-    lo = np.broadcast_to(np.asarray(box[0], dtype=float), (system.dim,))
-    hi = np.broadcast_to(np.asarray(box[1], dtype=float), (system.dim,))
-    lo = np.maximum(lo, np.where(np.isfinite(system.bounds.lower), system.bounds.lower + 1e-6, -np.inf))
-    hi = np.minimum(hi, np.where(np.isfinite(system.bounds.upper), system.bounds.upper - 1e-6, np.inf))
+    lo, hi = probe_range(system.bounds, DEFAULT_BOX if box is None else box)
     return PropertyReport(name, samples), rng, rng.uniform(lo, hi, size=(samples, system.dim))
 
 

@@ -107,16 +107,17 @@ def tu_surplus_spec(phi0: np.ndarray, basis: np.ndarray) -> ThetaSpec:
 # one adjoint solve with the saddle-point multipliers.
 
 
-def _cell_blocks(spec: ThetaSpec, theta: np.ndarray, a: np.ndarray, b: np.ndarray, hessian: bool = False):
+def _cell_blocks(spec: ThetaSpec, theta: np.ndarray, a: np.ndarray, b: np.ndarray):
     """Return (m, (du, dv), g, D2d): log M and its slopes in a_x and b_y, all
     (X, Y), its theta-gradient g (d, X, Y), and the distance's curvature
-    (d_uu, d_uv, d_vv) in (u, v), None unless requested."""
+    D2d = (d_uu, d_uv, d_vv) in (u, v), which DistanceFamily.evaluate gives
+    with the slopes."""
     fam = spec.family(np.atleast_1d(theta))
     u = -a[:, None] - fam.alpha
     v = -b[None, :] - fam.gamma
     dist, du, dv, *D2d = (np.broadcast_to(t, u.shape) for t in fam.distance.evaluate(u, v))
     g = spec.alpha_basis * du + spec.gamma_basis * dv
-    return -dist, (du, dv), g, (D2d if hessian else None)
+    return -dist, (du, dv), g, D2d
 
 
 def _first_order(
@@ -127,7 +128,6 @@ def _first_order(
     mu_hat: np.ndarray,
     norm: Normalization,
     K: float,
-    hessian: bool = False,
 ):
     """Constraint values G, Jacobian DG and log-likelihood gradient Dl.
 
@@ -135,8 +135,9 @@ def _first_order(
     normalization row psi(-a, b) - K; columns and Dl span nv = d + X + Y
     variables (theta, a, b).  The log-likelihood is sum mu_hat log(M / N)
     with N = sum M.  Also returns M, W = M / N, _cell_blocks' du, dv, g and
-    D2d, and DlogN, the gradient of log N, for second-order assembly."""
-    m, (du, dv), g, D2d = _cell_blocks(spec, theta, a, b, hessian)
+    curvature D2d, and DlogN, the gradient of log N, for second-order
+    assembly."""
+    m, (du, dv), g, D2d = _cell_blocks(spec, theta, a, b)
     d, X, Y = g.shape
     M = np.exp(m)
     Mu, Mv, gM = M * du, M * dv, g * M
@@ -408,11 +409,11 @@ def mpec_residual(
     X, Y = spec.table_shape
     if lam.shape != (X + Y + 1,):
         raise DimensionMismatch(f"expected {X + Y + 1} multipliers")
-    return _kkt_system(spec, mu_hat, lam, _first_order(spec, theta, a, b, mu_hat, norm, K, hessian=True))
+    return _kkt_system(spec, mu_hat, lam, _first_order(spec, theta, a, b, mu_hat, norm, K))
 
 
 def _kkt_system(spec: ThetaSpec, mu_hat: np.ndarray, lam: np.ndarray, first_order) -> Tuple[np.ndarray, np.ndarray]:
-    """mpec_residual's (Psi, J) from _first_order's output with curvature."""
+    """mpec_residual's (Psi, J) from _first_order's output."""
     G, DG, Dl, (M, W, du, dv, g, (duu, duv, dvv), DlogN) = first_order
     X, Y = spec.table_shape
     d, nv = spec.dim, DG.shape[1]
@@ -486,50 +487,44 @@ def mpec_solve(
 ) -> MpecResult:
     """Damped Newton iteration on the stationarity system.
 
-    Each step is the minimum-norm solution of the KKT system, whose one
-    null direction is the redundant accounting row's multiplier; one
-    bordered LU solve finds it.  Steps are halved until the residual norm
-    does not increase.
+    The iterate is the stacked unknown x = (theta, a, b, lambda).  Each step
+    is the minimum-norm solution of the KKT system, whose one null
+    direction is the redundant accounting row's multiplier; one bordered LU
+    solve finds it.  The trial point x + 0.5^k step is taken at the first k
+    whose residual norm does not increase.
     """
-    theta = np.atleast_1d(np.asarray(theta0, dtype=float)).copy()
-    a = np.asarray(a0, dtype=float).copy()
-    b = np.asarray(b0, dtype=float).copy()
     mu_hat = np.asarray(mu_hat, dtype=float)
     d, (X, Y) = spec.dim, spec.table_shape
+    cuts = np.cumsum([d, X, Y])
     z = np.concatenate([np.zeros(d + X + Y), _redundant_row(X, Y)])
 
     # one first-order assembly gives the start multiplier and first residual
-    first = _first_order(spec, theta, a, b, mu_hat, norm, K, hessian=True)
-    lam = _multiplier(spec, first[1], first[2])
-    Psi, J = _kkt_system(spec, mu_hat, lam, first)
+    x = np.concatenate([np.atleast_1d(theta0), a0, b0], dtype=float)
+    first = _first_order(spec, *np.split(x, cuts[:2]), mu_hat, norm, K)
+    x = np.append(x, _multiplier(spec, first[1], first[2]))
+    Psi, J = _kkt_system(spec, mu_hat, x[cuts[2] :], first)
     rnorm = float(np.linalg.norm(Psi))
-    for it in range(1, MPEC_MAX_ITER + 1):
+    for it in range(MPEC_MAX_ITER + 1):
         if rnorm <= MPEC_TOL:
-            return MpecResult(theta, a, b, lam, rnorm, it - 1)
+            return MpecResult(*np.split(x, cuts), rnorm, it)
+        if it == MPEC_MAX_ITER:
+            break
         step = _min_norm_solve(J, -Psi, z)
-        damp = 1.0
-        for _ in range(40):
-            t2 = theta + damp * step[:d]
-            a2 = a + damp * step[d : d + X]
-            b2 = b + damp * step[d + X : d + X + Y]
-            l2 = lam + damp * step[d + X + Y :]
-            Psi2, J2 = mpec_residual(spec, mu_hat, norm, K, t2, a2, b2, l2)
+        for k in range(40):
+            trial = x + 0.5**k * step
+            Psi2, J2 = mpec_residual(spec, mu_hat, norm, K, *np.split(trial, cuts))
             r2 = float(np.linalg.norm(Psi2))
             if r2 <= rnorm * (1 + 1e-12):
-                theta, a, b, lam = t2, a2, b2, l2
-                Psi, J, rnorm = Psi2, J2, r2
+                x, Psi, J, rnorm = trial, Psi2, J2, r2
                 break
-            damp *= 0.5
         else:
             raise OptimizerStalled(
                 f"damped Newton made no progress at residual {rnorm:.3e}",
-                theta=theta,
+                theta=x[:d],
             )
-    if rnorm <= MPEC_TOL:
-        return MpecResult(theta, a, b, lam, rnorm, MPEC_MAX_ITER)
     raise OptimizerStalled(
         f"stationarity residual {rnorm:.3e} after {MPEC_MAX_ITER} Newton steps",
-        theta=theta,
+        theta=x[:d],
     )
 
 

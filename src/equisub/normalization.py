@@ -22,12 +22,12 @@ FLAT_PROBE = 1e-3   # offset of the flat-at-root probes
 class Normalization:
     """Scalar normalization map with optional gradient.
 
-    kind is a tuple tag, e.g. ("coordinate", 2), ("mean",), ("custom",).
-    value_range is the open interval of attainable levels K.
+    index is i when psi(p) = p[i] for one fixed coordinate i (coordinate(i)),
+    else None; value_range is the open interval of attainable levels K.
     """
 
     eval_fn: Callable[[np.ndarray], float]
-    kind: tuple = ("custom",)
+    index: Optional[int] = None
     value_range: Tuple[float, float] = (-np.inf, np.inf)
     grad_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
@@ -48,20 +48,25 @@ class Normalization:
         return g
 
 
-def coordinate(index: int, value_range=(-np.inf, np.inf)) -> Normalization:
-    """psi(p) = p[index]."""
+def _selected(pick: Callable[[np.ndarray], int], value_range, index: Optional[int] = None) -> Normalization:
+    """psi(p) = p[i] with i = pick(p); gradient one-hot at i."""
 
     def _grad(p):
         g = np.zeros_like(p)
-        g[index] = 1.0
+        g[pick(p)] = 1.0
         return g
 
     return Normalization(
-        eval_fn=lambda p: float(p[index]),
-        kind=("coordinate", index),
+        eval_fn=lambda p: float(p[pick(p)]),
+        index=index,
         value_range=value_range,
         grad_fn=_grad,
     )
+
+
+def coordinate(index: int, value_range=(-np.inf, np.inf)) -> Normalization:
+    """psi(p) = p[index]."""
+    return _selected(lambda p: index, value_range, index)
 
 
 def mean(value_range=(-np.inf, np.inf)) -> Normalization:
@@ -74,42 +79,19 @@ def mean(value_range=(-np.inf, np.inf)) -> Normalization:
 
     return Normalization(
         eval_fn=lambda p: float(np.mean(p)),
-        kind=("mean",),
         value_range=value_range,
         grad_fn=lambda p: np.full_like(p, 1.0 / p.size),
     )
 
 
 def max_coordinate(value_range=(-np.inf, np.inf)) -> Normalization:
-    """psi(p) = max coordinate (gradient: one-hot at the argmax)."""
-
-    def _grad(p):
-        g = np.zeros_like(p)
-        g[int(np.argmax(p))] = 1.0
-        return g
-
-    return Normalization(
-        eval_fn=lambda p: float(np.max(p)),
-        kind=("max",),
-        value_range=value_range,
-        grad_fn=_grad,
-    )
+    """psi(p) = max coordinate (gradient: one-hot at the first argmax)."""
+    return _selected(np.argmax, value_range)
 
 
 def min_coordinate(value_range=(-np.inf, np.inf)) -> Normalization:
-    """psi(p) = min coordinate."""
-
-    def _grad(p):
-        g = np.zeros_like(p)
-        g[int(np.argmin(p))] = 1.0
-        return g
-
-    return Normalization(
-        eval_fn=lambda p: float(np.min(p)),
-        kind=("min",),
-        value_range=value_range,
-        grad_fn=_grad,
-    )
+    """psi(p) = min coordinate (gradient: one-hot at the first argmin)."""
+    return _selected(np.argmin, value_range)
 
 
 def renormalize(raw: Callable[[np.ndarray], float]) -> Normalization:
@@ -149,4 +131,4 @@ def renormalize(raw: Callable[[np.ndarray], float]) -> Normalization:
             raise NotDiagonallyStrict("raw map is flat on an interval at its root")
         return root
 
-    return Normalization(eval_fn=_eval, kind=("custom",))
+    return Normalization(eval_fn=_eval)

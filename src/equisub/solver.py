@@ -294,7 +294,8 @@ def solve_normalized(
     solution with K: the bracket is located by geometric expansion from
     pin_guess and then halved exactly (the width sequence is width0 / 2^k
     in floating point) until it is narrower than tol_bracket and the
-    normalization gap is within tol_bracket.
+    normalization gap is within tol_bracket.  If it gives up after a probe
+    with no pinned solution, no solvable pin reaches K: BracketNotFound.
 
     On a translation-invariant system every real pinned solve runs at the
     tight tolerance, and every pin after the first is reached by shifting
@@ -402,7 +403,7 @@ def solve_normalized(
     # pinning the same coordinate the normalization reads makes the outer
     # search trivial: psi(p*) equals the pin value itself.  Solve tightly so
     # the remaining inner-iteration error stays well under tol_bracket.
-    if norm.kind[0] == "coordinate" and int(norm.kind[1]) == pin:
+    if norm.index == pin:
         val, rep = phi(K, tight=True)
         if rep is None:
             raise BracketNotFound(f"no pinned solution reaches the pin value {K}")
@@ -427,10 +428,12 @@ def solve_normalized(
     best = None
     best_gap = np.inf
     extra = 0
+    unsolved = False  # some probe had no pinned solution (psi = +/-inf)
     for _ in range(MAX_ITER_BRACKET):
         # once the bracket is narrow the pinned-solve error dominates the
         # remaining gap, so re-evaluate at the tight tol_outer
         v, rep = phi(lo + 0.5 * width, tight=width < 1e3 * opts.tol_bracket)
+        unsolved |= rep is None
         gap = abs(v - K)
         if rep is not None and gap < best_gap:
             best, best_gap = rep, gap
@@ -454,6 +457,8 @@ def solve_normalized(
     if best is not None:
         best.bracket_history = history
         best.outer_solves = solves
+    if unsolved:  # the bracket closed on the edge of the solvable pins, where psi jumps past K
+        raise BracketNotFound(f"no solvable pin value reaches normalization level {K}")
     raise MaxIterExceeded(
         f"dichotomy did not reach tol_bracket in {solves} pinned solves "
         f"(gap {best_gap:.3e})",

@@ -416,6 +416,15 @@ def test_check_logit_demand_passes(tmp_path):
     assert all(r["passed"] for r in rep["results"])
 
 
+def test_check_nan_share_is_config_error(tmp_path):
+    # check reads the shares file through the same share check as invert:
+    # a NaN target exits 1 rather than failing the probes against it
+    cfg = invert_config(
+        tmp_path, [0.5, 0.5, float("nan")], target="demand", model={"family": "logit-mc", "R": 2000, "seed": 1}
+    )
+    assert main(["check", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+
+
 def test_check_bridge_regularity_fails_outside_range(tmp_path):
     rows = [("g0", 0.6), ("g1", 0.4)]
     cfg = write_json(tmp_path / "cfg.json", {

@@ -9,7 +9,7 @@ import pytest
 from equisub import estimation
 from equisub import normalization as nz
 from equisub.demand import GFamily, demand_logit, linear_g, logit_model
-from equisub.errors import OptimizerStalled, SingularWeight, ZeroPredictedCell
+from equisub.errors import OptimizerStalled, SingularConstraintJacobian, SingularWeight, ZeroPredictedCell
 from equisub.estimation import (
     ThetaSpec,
     _cell_blocks,
@@ -27,7 +27,7 @@ from equisub.estimation import (
     tu_surplus_spec,
 )
 from equisub import matching
-from equisub.matching import MarketPrimitives, etu_family, frontier_distance, solve_mfe
+from equisub.matching import MarketPrimitives, MatchingEquilibrium, etu_family, frontier_distance, solve_mfe
 from equisub.solver import SolverOptions
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -261,6 +261,45 @@ def test_mpec_solve_recovers_planted_parameter():
     assert res.residual_norm <= 1e-10
 
 
+def test_mpec_solve_halves_steps_far_from_the_optimum(monkeypatch):
+    # from theta0 + 5 full Newton steps can raise the residual norm: two
+    # halvings in all, so 8 steps make 10 residual evaluations
+    spec, theta0, norm, K, mu_hat, eq = _planted_tu_problem()
+    calls = []
+    residual = estimation.mpec_residual
+    monkeypatch.setattr(estimation, "mpec_residual", lambda *args: calls.append(1) or residual(*args))
+    res = mpec_solve(spec, mu_hat, norm, K, theta0 + 5.0, eq.a, eq.b)
+    assert (res.iterations, len(calls)) == (8, 10)
+    assert abs(res.theta[0] - theta0[0]) <= 2e-15
+    assert res.residual_norm <= 1e-10
+
+
+def test_mpec_solve_stalls_when_no_halving_lowers_the_residual(monkeypatch):
+    spec, theta0, norm, K, mu_hat, eq = _planted_tu_problem()
+    residual = estimation.mpec_residual
+    monkeypatch.setattr(estimation, "mpec_residual", lambda *args: (1e6 + residual(*args)[0], None))
+    with pytest.raises(OptimizerStalled, match="damped Newton made no progress at residual") as info:
+        mpec_solve(spec, mu_hat, norm, K, theta0 + 0.3, eq.a, eq.b)
+    assert info.value.theta.tolist() == (theta0 + 0.3).tolist()  # no step was taken
+
+
+def test_mpec_solve_stalls_after_its_step_budget(monkeypatch):
+    spec, theta0, norm, K, mu_hat, eq = _planted_tu_problem()
+    monkeypatch.setattr(estimation, "MPEC_MAX_ITER", 2)
+    with pytest.raises(OptimizerStalled, match=r"stationarity residual .* after 2 Newton steps"):
+        mpec_solve(spec, mu_hat, norm, K, theta0 + 5.0, eq.a, eq.b)
+
+
+def test_likelihood_gradient_rejects_a_near_singular_constraint_jacobian():
+    # fees (0, 80) and (0, -80) put the off-diagonal cells at e^-40 and
+    # e^40: the (a, b) Jacobian's condition number is about 5e17
+    spec = tu_surplus_spec(np.zeros((2, 2)), DIAG)
+    eq = MatchingEquilibrium(a=np.array([0.0, 80.0]), b=np.array([0.0, -80.0]), mu=None, K=0.0, report=None)
+    mu_hat = np.array([[5.0, 1.0], [1.0, 5.0]])
+    with pytest.raises(SingularConstraintJacobian, match="exceeds cap"):
+        likelihood_gradient(spec, np.zeros(1), mu_hat, nz.mean(), 0.0, eq=eq)
+
+
 def _random_spec(rng, kind, X, Y, d):
     basis = rng.normal(0.0, 0.5, size=(d, X, Y))
     if kind == "NTU":
@@ -415,7 +454,7 @@ def test_frontier_cell_blocks_make_one_root_solve(monkeypatch):
     calls = []
     bisect = matching.bisect
     monkeypatch.setattr(matching, "bisect", lambda *args: calls.append(1) or bisect(*args))
-    _cell_blocks(spec, theta, a, b, hessian=True)
+    _cell_blocks(spec, theta, a, b)
     assert len(calls) == 1
 
 

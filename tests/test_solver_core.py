@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from equisub import solver
 from equisub.errors import (
     BalanceViolated,
+    BracketNotFound,
     DimensionMismatch,
     EnvelopeNotDownwardResponsive,
     HintsMissing,
@@ -44,6 +45,7 @@ from equisub.demand import (
     build_demand_system,
     demand_logit,
     demand_mc,
+    invert_demand,
     logit_mc_model,
     logit_model,
     pure_characteristics_model,
@@ -609,6 +611,38 @@ def test_dichotomy_that_cannot_meet_the_level_raises_with_its_best_report(logit3
     assert abs(jump(rep.p_star) - 0.05) >= 0.05 - 1e-9
 
 
+def test_level_no_solvable_pin_reaches_raises_bracket_not_found():
+    # pinned solutions exist only for pins up to about -0.975, where mean
+    # psi is about -0.457: the dichotomy closes on that edge, above which
+    # every probe has no pinned solution, and the level is out of reach
+    model = bridge_model(np.array([0.0, 0.5, 1.0]), R=500, seed=1)
+    s = demand_mc(model, np.array([-2.0, -1.4, -1.0]))
+    for K in (-0.1, 1.0):
+        with pytest.raises(BracketNotFound, match=f"normalization level {K}"):
+            invert_demand(model, s, mean(), K)
+
+
+def test_level_beyond_a_bounded_box_is_not_bracketed():
+    # exact logit on the box p < 1: mean psi stays below 1, so the walk
+    # from the guess reaches the bound without crossing K = 5
+    model = DemandModel(dim=3, closed_form=demand_logit, bounds=Bounds(np.full(3, -np.inf), np.ones(3)))
+    with pytest.raises(BracketNotFound, match="normalization level 5.0 not bracketed"):
+        solve_normalized(build_demand_system(model), np.array([0.5, 0.3, 0.2]), mean(), 5.0)
+
+
+def test_no_cold_solvable_pin_raises_bracket_not_found():
+    # the envelope is a constant 10 above the target, so no pin value gives
+    # a subsolution and the anchor walk finds no pinned solution
+    system = SupplySystem(
+        dim=2,
+        eval_fn=lambda p: np.array([p[0] - p[1], p[1] - p[0]]),
+        bounds=Bounds(np.full(2, -np.inf), np.full(2, np.inf)),
+        subsolution_hints=SubsolutionHints(ordering=(0, np.array([1])), envelopes=(lambda p: np.array([10.0]),)),
+    )
+    with pytest.raises(BracketNotFound, match="no pin value admits a pinned solution: "):
+        solve_normalized(system, np.array([-1.0, 1.0]), coordinate(0), 0.0)
+
+
 def test_solve_normalized_unique_across_starting_guesses(logit3):
     system, s = logit3
     rep1 = solve_normalized(system, s, mean(), 0.0, pin_guess=-3.0)
@@ -635,6 +669,26 @@ def test_unit_translation_property(p, t):
     p = np.asarray(p, dtype=float)
     for norm in (coordinate(0), mean(), max_coordinate(), min_coordinate()):
         assert abs(norm(p + t) - (norm(p) + t)) <= 1e-9 * (1 + abs(t) + abs(norm(p)))
+
+
+@given(
+    p=st.lists(st.sampled_from([-1.5, 0.0, 2.0]) | st.floats(-20, 20), min_size=1, max_size=6),
+    data=st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_selected_coordinate_normalizations(p, data):
+    # ties are frequent: the gradient is one-hot at the first argmax/argmin
+    p = np.asarray(p, dtype=float)
+    i = data.draw(st.integers(0, p.size - 1))
+    for norm, value, at in (
+        (coordinate(i), p[i], i),
+        (max_coordinate(), np.max(p), int(np.argmax(p == np.max(p)))),
+        (min_coordinate(), np.min(p), int(np.argmax(p == np.min(p)))),
+    ):
+        assert norm(p) == value
+        assert norm.grad(p).tolist() == np.eye(p.size)[at].tolist()
+    assert coordinate(i).index == i
+    assert max_coordinate().index is None and min_coordinate().index is None and mean().index is None
 
 
 def test_renormalize_sum_behaves_like_mean():
@@ -671,6 +725,9 @@ def test_renormalize_rejects_diagonally_flat_map():
     flat = renormalize(lambda p: float(p[0] - p[1]))
     with pytest.raises(NotDiagonallyStrict):
         flat(np.array([1.0, 0.0]))
+    # constant everywhere: the diagonal walk finds no sign change at all
+    with pytest.raises(NotDiagonallyStrict, match="flat along the diagonal"):
+        renormalize(lambda p: 1.0)(np.zeros(3))
 
 
 # ----------------------------------------------------------------------
