@@ -2,10 +2,11 @@
 
 Subcommands: match (matching equilibrium), invert (demand inversion),
 estimate (mle / gmm), check (structure probes).  Each reads a JSON config,
-writes CSV results plus a JSON report with a schema_version field, and
-maps failures onto exit codes: 2 for an errors.SolverFailure (no
-equilibrium or estimate found), 1 for a config error or any other package
-error, 3 for failed diagnostics.
+writes its CSV results and returns its exit code and report; main writes
+the report as report.json with the command, schema_version and timestamp
+fields, and maps failures onto exit codes: 2 for an errors.SolverFailure
+(no equilibrium or estimate found), 1 for a config error or any other
+package error, 3 for failed diagnostics.
 """
 from __future__ import annotations
 
@@ -62,14 +63,11 @@ def _opts_from_config(cfg):
     return SolverOptions(**{TOLERANCE_KEYS[k]: float(v) for k, v in tol.items()})
 
 
-def _write_report(out_dir, name, payload):
-    payload = dict(payload)
-    payload["schema_version"] = SCHEMA_VERSION
-    payload["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-    out = Path(out_dir) / name
-    with open(out, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _write_csv(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _solve_block(rep, verbose):
@@ -89,37 +87,42 @@ def _solve_block(rep, verbose):
 
 def _read_table(path, columns, fill):
     """Pivot the x, y rows of a CSV file into one (X, Y) table per name in
-    columns that the header has; a cell without a row keeps fill.  Returns
-    the sorted x types, the sorted y types and the tables by name."""
+    columns that the header has; a cell without a row keeps fill, and a
+    repeated (x, y) row is a config error.  Returns the sorted x types, the
+    sorted y types and the tables by name."""
+    cells = {}
     with open(path) as fh:
         reader = csv.DictReader(fh)
         names = [c for c in columns if c in (reader.fieldnames or ())]
-        rows = [(int(r["x"]), int(r["y"]), [float(r[c]) for c in names]) for r in reader]
-    xs = sorted({x for x, _, _ in rows})
-    ys = sorted({y for _, y, _ in rows})
+        for r in reader:
+            xy = (int(r["x"]), int(r["y"]))
+            if xy in cells:
+                raise ConfigError(f"{path} repeats the row (x, y) = {xy}")
+            cells[xy] = [float(r[c]) for c in names]
+    xs = sorted({x for x, _ in cells})
+    ys = sorted({y for _, y in cells})
     tables = {c: np.full((len(xs), len(ys)), fill) for c in names}
-    for x, y, values in rows:
+    for (x, y), values in cells.items():
         for c, v in zip(names, values):
             tables[c][xs.index(x), ys.index(y)] = v
     return xs, ys, tables
 
 
 def _read_masses_csv(path, xs, ys):
-    n = np.full(len(xs), np.nan)
-    m = np.full(len(ys), np.nan)
+    """The x and y mass vectors of a side, type, mass CSV file that lists
+    every type of xs and ys exactly once."""
+    masses = {}
     with open(path) as fh:
         for row in csv.DictReader(fh):
-            side = row["side"].strip().lower()
-            t = int(row["type"])
-            if side == "x":
-                n[xs.index(t)] = float(row["mass"])
-            elif side == "y":
-                m[ys.index(t)] = float(row["mass"])
-            else:
-                raise ConfigError(f"unknown side {row['side']!r}")
-    if np.any(np.isnan(n)) or np.any(np.isnan(m)):
-        raise ConfigError("masses file misses some types")
-    return n, m
+            key = (row["side"].strip().lower(), int(row["type"]))
+            if key in masses:
+                raise ConfigError(f"{path} repeats the row (side, type) = {key}")
+            masses[key] = float(row["mass"])
+    wanted = [("x", t) for t in xs] + [("y", t) for t in ys]
+    if set(masses) != set(wanted):
+        raise ConfigError(f"masses file {path} must list each of {wanted} once")
+    mass = np.array([masses[key] for key in wanted])
+    return mass[: len(xs)], mass[len(xs) :]
 
 
 def _market_from_config(cfg):
@@ -156,32 +159,17 @@ def cmd_match(cfg, out_dir, args):
     opts = _opts_from_config(cfg)
     eq = mt.solve_mfe(prim, norm, K, opts)
 
-    transfers = mt.recover_transfers(fam, eq) if fam.transfers else None
-
-    with open(Path(out_dir) / "equilibrium.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["x", "y", "mu"] + (["w"] if transfers is not None else [])
-        writer.writerow(header)
-        for i, x in enumerate(xs):
-            for j, y in enumerate(ys):
-                row = [x, y, repr(float(eq.mu[i, j]))]
-                if transfers is not None:
-                    row.append(repr(float(transfers[i, j])))
-                writer.writerow(row)
-
-    _write_report(
-        out_dir,
-        "report.json",
-        {
-            "command": "match",
-            "a": eq.a.tolist(),
-            "b": eq.b.tolist(),
-            "K": K,
-            "family": fam.kind,
-            **_solve_block(eq.report, args.verbose),
-        },
-    )
-    return 0
+    # one column per table: mu, then the transfers w of a family with any
+    tables = [eq.mu] + ([mt.recover_transfers(fam, eq)] if fam.transfers else [])
+    rows = [[x, y, *(float(t[i, j]) for t in tables)] for i, x in enumerate(xs) for j, y in enumerate(ys)]
+    _write_csv(Path(out_dir) / "equilibrium.csv", ["x", "y", "mu", "w"][: 2 + len(tables)], rows)
+    return 0, {
+        "a": eq.a.tolist(),
+        "b": eq.b.tolist(),
+        "K": K,
+        "family": fam.kind,
+        **_solve_block(eq.report, args.verbose),
+    }
 
 
 def _model_from_config(cfg, dim, seed):
@@ -210,31 +198,26 @@ def _read_columns(path, columns):
     return goods, [np.array([float(r[c]) for r in rows]) for c in columns]
 
 
-def cmd_invert(cfg, out_dir, args):
+def _demand_from_config(cfg, seed):
+    """The goods, the shares and the DemandModel of a config's shares file
+    and model block; the shares pass the check invert_demand makes."""
     goods, (s,) = _read_columns(cfg["shares_csv"], ["share"])
-    model = _model_from_config(cfg.get("model", {}), s.size, args.seed)
+    dm._check_shares(s)
+    return goods, s, _model_from_config(cfg.get("model", {}), s.size, seed)
+
+
+def cmd_invert(cfg, out_dir, args):
+    goods, s, model = _demand_from_config(cfg, args.seed)
     norm = _norm_from_config(cfg.get("normalization", {}))
     K = float(cfg.get("K", 0.0))
     opts = _opts_from_config(cfg) if "tolerances" in cfg else None
     result = dm.invert_demand(model, s, norm, K, opts)
-
-    with open(Path(out_dir) / "deltas.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["good", "delta"])
-        for g, dlt in zip(goods, result.delta):
-            writer.writerow([g, repr(float(dlt))])
-
-    _write_report(
-        out_dir,
-        "report.json",
-        {
-            "command": "invert",
-            "K": K,
-            "model": model.label,
-            **_solve_block(result.report, args.verbose),
-        },
-    )
-    return 0
+    _write_csv(Path(out_dir) / "deltas.csv", ["good", "delta"], zip(goods, result.delta.tolist()))
+    return 0, {
+        "K": K,
+        "model": model.label,
+        **_solve_block(result.report, args.verbose),
+    }
 
 
 def cmd_estimate(cfg, out_dir, args):
@@ -261,19 +244,13 @@ def cmd_estimate(cfg, out_dir, args):
         else:
             raise ConfigError(f"unsupported spec kind {kind!r}")
         result = est.mle_nested(spec, mu_hat, norm, K, theta0, _opts_from_config(cfg))
-        _write_report(
-            out_dir,
-            "report.json",
-            {
-                "command": "estimate",
-                "mode": "mle",
-                "theta": result.theta.tolist(),
-                "loglik": result.loglik,
-                "gradient_norm": result.gradient_norm,
-                "iterations": result.iterations,
-            },
-        )
-        return 0
+        return 0, {
+            "mode": "mle",
+            "theta": result.theta.tolist(),
+            "loglik": result.loglik,
+            "gradient_norm": result.gradient_norm,
+            "iterations": result.iterations,
+        }
 
     if mode == "gmm":
         _, (s, x1, x2, y) = _read_columns(cfg["data_csv"], ["share", "x1", "x2", "y"])
@@ -281,20 +258,22 @@ def cmd_estimate(cfg, out_dir, args):
         gfam = dm.linear_g()
         opts = _opts_from_config(cfg) if "tolerances" in cfg else None
         result = est.gmm_nested(model, s, x1, x2, y, gfam, norm, K, theta0, opts=opts)
-        _write_report(
-            out_dir,
-            "report.json",
-            {
-                "command": "estimate",
-                "mode": "gmm",
-                "theta": result.theta.tolist(),
-                "objective": result.value,
-                "moments": result.moments.tolist(),
-            },
-        )
-        return 0
+        return 0, {
+            "mode": "gmm",
+            "theta": result.theta.tolist(),
+            "objective": result.value,
+            "moments": result.moments.tolist(),
+        }
 
     raise ConfigError(f"unknown estimation mode {mode!r}")
+
+
+_PROBES = {  # check name -> probe of a system at its target q
+    "weak_substitutes": lambda system, q, seed: dg.check_weak_substitutes(system, seed=seed),
+    "pivotal_substitutes": lambda system, q, seed: dg.check_pivotal_substitutes(system, q, seed=seed),
+    "responsiveness": lambda system, q, seed: dg.check_responsiveness(system, q, seed=seed),
+    "connected_strict_substitutes": lambda system, q, seed: dg.check_connected_strict_substitutes(system, seed=seed),
+}
 
 
 def cmd_check(cfg, out_dir, args):
@@ -302,60 +281,36 @@ def cmd_check(cfg, out_dir, args):
     if target == "matching":
         system, q = mt.build_mfe_system(_market_from_config(cfg)[2])
     elif target == "demand":
-        _, (s,) = _read_columns(cfg["shares_csv"], ["share"])
-        dm._check_shares(s)  # the target invert_demand accepts
-        model = _model_from_config(cfg.get("model", {}), s.size, args.seed)
+        _, q, model = _demand_from_config(cfg, args.seed)
         system = dm.build_demand_system(model)
-        q = s
     else:
         raise ConfigError(f"unknown check target {target!r}")
 
     seed = int(args.seed if args.seed is not None else 0)
-    checks = cfg.get(
-        "checks",
-        ["weak_substitutes", "pivotal_substitutes", "responsiveness"],
-    )
-    reports = []
-    for name in checks:
-        if name == "weak_substitutes":
-            rep = dg.check_weak_substitutes(system, seed=seed)
-        elif name == "pivotal_substitutes":
-            rep = dg.check_pivotal_substitutes(system, q, seed=seed)
-        elif name == "responsiveness":
-            rep = dg.check_responsiveness(system, q, seed=seed)
-        elif name == "connected_strict_substitutes":
-            rep = dg.check_connected_strict_substitutes(system, seed=seed)
-        elif name == "utility_regularity":
-            if target != "demand":
-                raise ConfigError("utility_regularity applies to demand targets only")
-            grid = cfg.get("delta_grid")
-            rep = dm.check_utility_regularity(
-                model, delta_grid=None if grid is None else np.asarray(grid, dtype=float)
-            )
-        else:
-            raise ConfigError(f"unknown check {name!r}")
-        reports.append(rep)
 
-    _write_report(
-        out_dir,
-        "report.json",
+    def probe(name):
+        if name in _PROBES:
+            return _PROBES[name](system, q, seed)
+        if name != "utility_regularity":
+            raise ConfigError(f"unknown check {name!r}")
+        if target != "demand":
+            raise ConfigError("utility_regularity applies to demand targets only")
+        grid = cfg.get("delta_grid")
+        return dm.check_utility_regularity(
+            model, delta_grid=None if grid is None else np.asarray(grid, dtype=float)
+        )
+
+    checks = cfg.get("checks", ["weak_substitutes", "pivotal_substitutes", "responsiveness"])
+    results = [
         {
-            "command": "check",
-            "target": target,
-            "results": [
-                {
-                    "property": r.property_name,
-                    "passed": r.passed,
-                    "samples": r.samples_tested,
-                    "violations": len(r.violations),
-                }
-                for r in reports
-            ],
-        },
-    )
-    if any(not r.passed for r in reports):
-        return 3
-    return 0
+            "property": r.property_name,
+            "passed": r.passed,
+            "samples": r.samples_tested,
+            "violations": len(r.violations),
+        }
+        for r in map(probe, checks)
+    ]
+    return (0 if all(r["passed"] for r in results) else 3), {"target": target, "results": results}
 
 
 def main(argv=None) -> int:
@@ -378,7 +333,10 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.config)
         Path(args.out).mkdir(parents=True, exist_ok=True)
-        code = args.func(cfg, args.out, args)
+        code, report = args.func(cfg, args.out, args)
+        stamp = time.strftime("%Y-%m-%dT%H:%M:%S")
+        report.update(command=args.command, schema_version=SCHEMA_VERSION, timestamp=stamp)
+        (Path(args.out) / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     except (ConfigError, KeyError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -245,6 +245,15 @@ def predicted_frequencies(
     return Pi, eq
 
 
+def _observed_counts(mu_hat) -> np.ndarray:
+    """The observed match table as floats; a negative or nonfinite count
+    raises DimensionMismatch (zero counts are valid)."""
+    mu_hat = np.asarray(mu_hat, dtype=float)
+    if not np.all(np.isfinite(mu_hat) & (mu_hat >= 0)):
+        raise DimensionMismatch("observed counts must be finite and nonnegative")
+    return mu_hat
+
+
 def log_likelihood(mu_hat: np.ndarray, Pi: np.ndarray) -> float:
     """Multinomial log-likelihood sum mu_hat * log Pi."""
     mu_hat = np.asarray(mu_hat, dtype=float)
@@ -315,9 +324,10 @@ def mle_nested(
     """Maximize the nested log-likelihood by quasi-Newton ascent.
 
     Raises OptimizerStalled when the likelihood is flat in theta (no
-    identification) or the optimizer stops far from stationarity.
+    identification) or the optimizer stops far from stationarity.  A
+    negative or nonfinite count raises DimensionMismatch before any solve.
     """
-    mu_hat = np.asarray(mu_hat, dtype=float)
+    mu_hat = _observed_counts(mu_hat)
     n_hat = mu_hat.sum(axis=1)
     m_hat = mu_hat.sum(axis=0)
     theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
@@ -491,9 +501,10 @@ def mpec_solve(
     is the minimum-norm solution of the KKT system, whose one null
     direction is the redundant accounting row's multiplier; one bordered LU
     solve finds it.  The trial point x + 0.5^k step is taken at the first k
-    whose residual norm does not increase.
+    whose residual norm does not increase.  A negative or nonfinite count
+    raises DimensionMismatch before any solve.
     """
-    mu_hat = np.asarray(mu_hat, dtype=float)
+    mu_hat = _observed_counts(mu_hat)
     d, (X, Y) = spec.dim, spec.table_shape
     cuts = np.cumsum([d, X, Y])
     z = np.concatenate([np.zeros(d + X + Y), _redundant_row(X, Y)])

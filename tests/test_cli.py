@@ -1,6 +1,7 @@
 """End-to-end command-line runs against temporary data files."""
 import csv
 import json
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -115,7 +116,8 @@ ERROR_CLASSES = [
 
 @pytest.mark.parametrize("error", ERROR_CLASSES, ids=lambda c: c.__name__)
 def test_match_envelope_failure_is_solver_failure(tmp_path, monkeypatch, error):
-    # every package error exits 1, except a SolverFailure, which exits 2
+    # every package error exits 1, except a SolverFailure, which exits 2;
+    # either way the command writes no report
     def fail(*args, **kwargs):
         raise error("no equilibrium found")
 
@@ -125,7 +127,9 @@ def test_match_envelope_failure_is_solver_failure(tmp_path, monkeypatch, error):
         "masses_csv": write_masses(tmp_path, [1.0, 1.0], [1.0, 1.0]),
     })
     code = 2 if error.__name__ in SOLVER_FAILURES else 1
-    assert main(["match", "--config", cfg, "--out", str(tmp_path / "out")]) == code
+    out = tmp_path / "out"
+    assert main(["match", "--config", cfg, "--out", str(out)]) == code
+    assert out.is_dir() and not (out / "report.json").exists()
 
 
 def write_split_market(tmp_path, alpha, gamma):
@@ -303,15 +307,19 @@ def planted_matches(tmp_path, theta0=0.7, total=1000.0):
     return write_csv(tmp_path / "matches.csv", ["x", "y", "count"], rows)
 
 
-def test_estimate_mle_recovers_parameter(tmp_path):
-    cfg = write_json(tmp_path / "cfg.json", {
+def mle_config(tmp_path, matches_csv):
+    return write_json(tmp_path / "cfg.json", {
         "mode": "mle",
-        "matches_csv": planted_matches(tmp_path),
+        "matches_csv": matches_csv,
         "spec": {"kind": "TU", "basis": [[[1.0, 0.0], [0.0, 1.0]]]},
         "normalization": {"kind": "mean"},
         "K": 0.0,
         "theta0": [0.0],
     })
+
+
+def test_estimate_mle_recovers_parameter(tmp_path):
+    cfg = mle_config(tmp_path, planted_matches(tmp_path))
     out = tmp_path / "out"
     assert main(["estimate", "--config", cfg, "--out", str(out)]) == 0
     rep = read_report(out)
@@ -462,3 +470,61 @@ def test_unknown_check_is_config_error(tmp_path):
 
 def test_missing_config_file(tmp_path):
     assert main(["match", "--config", str(tmp_path / "nope.json")]) == 1
+
+
+# ----------------------------------------------------------------------
+# report envelope and input checks
+
+
+def market_config(tmp_path, market_rows=None, masses_rows=None):
+    market_rows = market_rows or [(x, y, 0.0) for x in range(2) for y in range(2)]
+    masses_rows = masses_rows or [("x", 0, 1.0), ("x", 1, 1.0), ("y", 0, 1.0), ("y", 1, 1.0)]
+    return write_json(tmp_path / "cfg.json", {
+        "market_csv": write_csv(tmp_path / "market.csv", ["x", "y", "phi"], market_rows),
+        "masses_csv": write_csv(tmp_path / "masses.csv", ["side", "type", "mass"], masses_rows),
+        "normalization": {"kind": "mean"},
+    })
+
+
+ENVELOPE_CASES = {
+    "match": market_config,
+    "invert": lambda tmp_path: invert_config(tmp_path, [0.5, 0.25, 0.25]),
+    "estimate-mle": lambda tmp_path: mle_config(tmp_path, planted_matches(tmp_path)),
+    "estimate-gmm": lambda tmp_path: gmm_config(tmp_path, 1.5),
+    "check": lambda tmp_path: invert_config(tmp_path, [0.5, 0.25, 0.25], target="demand"),
+}
+
+
+@pytest.mark.parametrize("case", ENVELOPE_CASES)
+def test_every_report_carries_the_envelope(tmp_path, case):
+    command = case.split("-")[0]
+    out = tmp_path / "out"
+    assert main([command, "--config", ENVELOPE_CASES[case](tmp_path), "--out", str(out)]) == 0
+    rep = read_report(out)
+    assert rep["command"] == command
+    assert rep["schema_version"] == 1
+    time.strptime(rep["timestamp"], "%Y-%m-%dT%H:%M:%S")
+
+
+@pytest.mark.parametrize("kind", ["market", "masses", "matches"])
+def test_repeated_csv_row_is_config_error(tmp_path, capsys, kind):
+    # a repeated row would silently overwrite the first one
+    cells = [(x, y, 1.0) for x in range(2) for y in range(2)]
+    if kind == "market":
+        cfg, repeated = market_config(tmp_path, market_rows=cells + [(0, 0, 5.0)]), "(x, y) = (0, 0)"
+    elif kind == "masses":
+        masses = [("x", 0, 1.0), ("x", 1, 1.0), ("y", 0, 1.0), ("y", 1, 1.0), ("x", 0, 1.0)]
+        cfg, repeated = market_config(tmp_path, masses_rows=masses), "(side, type) = ('x', 0)"
+    else:
+        matches = write_csv(tmp_path / "matches.csv", ["x", "y", "count"], cells + [(1, 0, 3.0)])
+        cfg, repeated = mle_config(tmp_path, matches), "(x, y) = (1, 0)"
+    command = "estimate" if kind == "matches" else "match"
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert repeated in capsys.readouterr().err
+
+
+def test_estimate_negative_count_is_config_error(tmp_path):
+    # a negative count is bad input (exit 1), not a stalled optimizer (exit 2)
+    rows = [(0, 0, 10.0), (0, 1, -1.0), (1, 0, 5.0), (1, 1, 10.0)]
+    cfg = mle_config(tmp_path, write_csv(tmp_path / "matches.csv", ["x", "y", "count"], rows))
+    assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "out")]) == 1

@@ -9,7 +9,13 @@ import pytest
 from equisub import estimation
 from equisub import normalization as nz
 from equisub.demand import GFamily, demand_logit, linear_g, logit_model
-from equisub.errors import OptimizerStalled, SingularConstraintJacobian, SingularWeight, ZeroPredictedCell
+from equisub.errors import (
+    DimensionMismatch,
+    OptimizerStalled,
+    SingularConstraintJacobian,
+    SingularWeight,
+    ZeroPredictedCell,
+)
 from equisub.estimation import (
     ThetaSpec,
     _cell_blocks,
@@ -475,6 +481,30 @@ def test_mpec_solve_recovers_planted_etu_as_itu_on_its_frontier():
     )
     assert res.residual_norm <= 1e-10
     assert np.max(np.abs(res.theta - theta)) <= 1e-10
+
+
+class SolveStarted(Exception):
+    pass
+
+
+@pytest.mark.parametrize("count", [-1.0, -5.0, np.nan, np.inf, 0.0])
+@pytest.mark.parametrize("estimator", ["mle", "mpec"])
+def test_estimators_reject_negative_or_nonfinite_counts(monkeypatch, estimator, count):
+    # a bad count raises DimensionMismatch before any solve; a zero count is
+    # valid data and reaches the first solve
+    def started(*args, **kwargs):
+        raise SolveStarted
+
+    monkeypatch.setattr(estimation, "predicted_frequencies", started)
+    monkeypatch.setattr(estimation, "_first_order", started)
+    spec, theta0, norm, K, mu_hat, eq = _planted_tu_problem()
+    mu_hat[0, 1] = count
+    expected = SolveStarted if count == 0 else DimensionMismatch
+    with pytest.raises(expected):
+        if estimator == "mle":
+            mle_nested(spec, mu_hat, norm, K, theta0)
+        else:
+            mpec_solve(spec, mu_hat, norm, K, theta0, eq.a, eq.b)
 
 
 def test_mpec_degenerate_data():
