@@ -57,7 +57,10 @@ def invert_logit(shares: np.ndarray, anchor: int = 0, K: float = 0.0) -> np.ndar
 class DemandModel:
     """Random-utility demand with frozen simulation draws.
 
-    Simulated consumer r picks argmax_z delta_z + draws[r, z], draws (R, Z).
+    Simulated consumer r picks argmax_z delta_z + draws[r, z], draws (R, Z),
+    ties going to the lowest index.  The draws are stored column-major (one
+    good's draws contiguous), the layout of the share map's and the sweep's
+    passes over goods; their values and shape are the ones given.
     utilities(delta, eps) -> (R, Z) is the structural index that
     check_utility_regularity probes; no share map reads it.  closed_form
     is the share map and takes precedence: a simulator not additive in
@@ -78,6 +81,8 @@ class DemandModel:
         shape = (1, self.dim) if self.draws is None else np.shape(self.draws)
         if len(shape) != 2 or shape[0] < 1 or shape[1] != self.dim:
             raise DimensionMismatch(f"draws must be (R, {self.dim}) with R >= 1, got {shape}")
+        if self.draws is not None:
+            object.__setattr__(self, "draws", np.asfortranarray(self.draws, dtype=float))
         if self.bounds is None:
             object.__setattr__(self, "bounds", Bounds.unbounded(self.dim))
 
@@ -164,7 +169,7 @@ def bridge_model(tolls: np.ndarray, R: int, seed: int, beta: float = 0.0) -> Dem
 
 def _check_qualities(model: DemandModel, delta: np.ndarray) -> np.ndarray:
     delta = np.asarray(delta, dtype=float)
-    if delta.shape[-1:] != (model.dim,):
+    if delta.shape != (model.dim,):
         raise DimensionMismatch(f"quality vector needs {model.dim} entries, got shape {delta.shape}")
     return delta
 
@@ -172,15 +177,25 @@ def _check_qualities(model: DemandModel, delta: np.ndarray) -> np.ndarray:
 def demand_mc(model: DemandModel, delta: np.ndarray) -> np.ndarray:
     """Simulated shares: frequency of each good being the argmax.
 
-    Ties go to the lowest index, matching np.argmax.
+    delta is one quality vector (Z,).  Ties go to the lowest index,
+    matching np.argmax.  A nonfinite utility raises DegenerateUtility.
     """
     if model.draws is None:
         raise DimensionMismatch("model has no simulation draws")
-    U = _check_qualities(model, delta)[None, :] + model.draws
-    if not np.all(np.isfinite(U)):
+    U = model.draws + _check_qualities(model, delta)  # column-major like the draws
+    if not np.isfinite(U).all():
         raise DegenerateUtility("simulated utilities are nonfinite")
-    picks = np.argmax(U, axis=1)
-    return np.bincount(picks, minlength=model.dim) / model.draws.shape[0]
+    # each good's count is its column's hits on the row maxima (counted per
+    # contiguous column, twice as fast as count_nonzero's axis=0); a
+    # consumer whose maximum is tied counts once, for the lowest tied good
+    hits = U == U.max(axis=1)[:, None]
+    counts = np.array([np.count_nonzero(h) for h in hits.T])
+    R = U.shape[0]
+    if counts.sum() > R:
+        tied = np.count_nonzero(hits, axis=1) > 1
+        counts -= np.count_nonzero(hits[tied], axis=0)
+        counts += np.bincount(np.argmax(U[tied], axis=1), minlength=model.dim)
+    return counts / R
 
 
 def shares(model: DemandModel, delta: np.ndarray) -> np.ndarray:
@@ -196,19 +211,27 @@ def _mc_sweep(model: DemandModel):
     # left root is an order statistic of the switch points.  A good's best
     # rival is the top good, or the runner-up where it is itself a top good
     # (a lone good is its own rival; with no free good its root is unused).
+    # One pass over the goods' columns keeps each consumer's top two (a tied
+    # top is its own runner-up); each good then selects its own column's
+    # order statistic.
     D = model.draws
     R, Z = D.shape
-    goods = np.arange(Z)
 
     def sweep(q, p, pin):
         # the k-th switch point lifts the share to k / R; a target outside
         # (0, 1] has no root and its clipped k leaves the solve unconverged
         k = np.clip(np.ceil(q * R - 1e-9).astype(int), 1, R) - 1
-        U = p[None, :] + D
-        top2 = np.partition(U, max(Z - 2, 0), axis=1)[:, -2:]
-        runner_up, best = top2[:, :1], top2[:, -1:]
-        rival = np.where(U == best, runner_up, best)
-        return np.partition(rival - D, np.unique(k), axis=0)[k, goods]
+        U = D + p
+        best = U[:, 0]
+        runner_up = best if Z == 1 else np.full(R, -np.inf)
+        for u in U.T[1:]:
+            runner_up = np.maximum(runner_up, np.minimum(best, u))
+            best = np.maximum(best, u)
+        roots = np.empty(Z)
+        for z in range(Z):
+            t = np.where(U[:, z] == best, runner_up, best) - D[:, z]
+            roots[z] = np.partition(t, k[z])[k[z]]
+        return roots
 
     return sweep
 

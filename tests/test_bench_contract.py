@@ -94,6 +94,23 @@ def test_tracer_counts_one_check_span_per_structure_check(tmp_path):
     assert tracer.per_layer(1.0)["diagnostics.check.calls"] == 3
 
 
+def test_tracer_counts_the_simulated_share_map_and_sweep(tmp_path):
+    # one seed-1 invert-cli cycle (check and invert through the cli on
+    # simulated and bridge demand): every sweep of the simulated share
+    # system goes through its sweep_solver
+    tracer = Tracer()
+    tracer.install()
+    try:
+        for inst in generate(WORKLOADS["invert-cli"], 1, tmp_path, 1):
+            inst.run()
+    finally:
+        tracer.uninstall()
+    assert tracer.self_check() == []
+    layer = tracer.per_layer(1.0)
+    assert layer["solver.sweeps"] == layer["system.sweep_solver.calls"] > 0
+    assert layer["demand.demand_mc.calls"] > 0
+
+
 @pytest.mark.parametrize("workload, cycles", [("estimate", 3), ("invert-cli", 1), ("match-tu", 1)])
 def test_estimate_workload_instances_pass_their_checks(workload, cycles, tmp_path):
     # whole cycles of a workload at seed 1: any failed or wrong instance

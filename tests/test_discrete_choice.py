@@ -27,7 +27,7 @@ from equisub.demand import (
     rc_logit_model,
     residual_xi,
 )
-from equisub.errors import DimensionMismatch, GNotInvertible
+from equisub.errors import DegenerateUtility, DimensionMismatch, GNotInvertible
 from equisub.solver import BOUND_MARGIN
 
 LN2 = np.log(2.0)
@@ -96,8 +96,69 @@ def test_share_maps_reject_qualities_of_the_wrong_length(model):
             demand_mc(model, np.array([5.0]))
 
 
+@pytest.mark.parametrize("shape", [(1, 3), (2, 3), (1000, 3), (3, 1)])
+def test_simulated_shares_reject_qualities_that_are_not_one_vector(shape):
+    # a (1, Z) or (R, Z) delta would broadcast against the (R, Z) draws
+    model = logit_mc_model(3, R=1000, seed=0)
+    delta = np.zeros(shape)
+    with pytest.raises(DimensionMismatch):
+        demand_mc(model, delta)
+    with pytest.raises(DimensionMismatch):
+        demand.shares(model, delta)
+
+
 # ----------------------------------------------------------------------
 # simulated shares
+
+
+def argmax_shares(model, delta):
+    """Reference simulated shares: numpy's row argmax over row-major draws."""
+    D = np.ascontiguousarray(model.draws)
+    picks = np.argmax(delta[None, :] + D, axis=1)
+    return np.bincount(picks, minlength=model.dim) / D.shape[0]
+
+
+def simulated_models(Z):
+    rng = np.random.default_rng(Z)
+    return [
+        logit_mc_model(Z, R=1000, seed=Z),
+        rc_logit_model(rng.normal(size=(Z, 2)), np.array([0.5, 1.0]), R=1000, seed=Z),
+        pure_characteristics_model(rng.normal(size=Z), R=1000, seed=Z),
+        bridge_model(np.linspace(0.0, 1.5, Z), R=1000, seed=Z),
+        # one shock shared by every good: every consumer ties at equal delta
+        DemandModel(dim=Z, draws=np.repeat(rng.gumbel(size=(1000, 1)), Z, axis=1), label="one-column"),
+    ]
+
+
+@pytest.mark.parametrize("Z", [1, 2, 4, 8])
+def test_simulated_shares_equal_the_row_argmax(Z):
+    # random qualities, and qualities a sweep places on consumers' switch
+    # points, where ties between a good and its best rival are routine
+    rng = np.random.default_rng(10 + Z)
+    ties = 0
+    for model in simulated_models(Z):
+        assert model.draws.flags.f_contiguous
+        sweep = build_demand_system(model).sweep_solver
+        for _ in range(10):
+            p = -np.abs(rng.normal(0.0, 0.5, Z)) - 0.5
+            swept = sweep(rng.dirichlet(np.full(Z, 3.0)), p, 0)
+            swept[0] = p[0]
+            for delta in (p, swept, np.zeros(Z)):
+                assert np.array_equal(demand_mc(model, delta), argmax_shares(model, delta))
+            U = model.draws + swept
+            ties += np.count_nonzero(np.count_nonzero(U == U.max(axis=1)[:, None], axis=1) > 1)
+    assert Z == 1 or ties > 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_utilities_are_degenerate(bad):
+    model = logit_mc_model(3, R=500, seed=0)
+    with pytest.raises(DegenerateUtility):
+        demand_mc(model, np.array([0.0, bad, 0.5]))
+    draws = model.draws.copy()
+    draws[17, 2] = bad
+    with pytest.raises(DegenerateUtility):
+        demand_mc(DemandModel(dim=3, draws=draws), np.zeros(3))
 
 
 def test_mc_shares_sum_to_one_and_match_symmetry():
@@ -251,38 +312,40 @@ def test_bridge_draws_pick_the_structural_argmax():
 
 
 @pytest.mark.parametrize(
-    "model",
+    "model, center",
     [
-        logit_mc_model(4, R=2000, seed=3),
-        rc_logit_model(np.array([[0.5, 1.0], [1.0, -0.5], [-1.0, 0.2], [0.3, 0.3]]), np.array([0.5, 1.0]), R=2000, seed=4),
-        bridge_model(np.array([0.0, 0.5, 1.0, 1.5]), R=2000, seed=5),
+        (logit_mc_model(4, R=2000, seed=3), [-2.0, -1.4, -1.0, -0.7]),
+        (
+            rc_logit_model(np.array([[0.5, 1.0], [1.0, -0.5], [-1.0, 0.2], [0.3, 0.3]]), np.array([0.5, 1.0]), R=2000, seed=4),
+            [-2.0, -1.4, -1.0, -0.7],
+        ),
+        (bridge_model(np.array([0.0, 0.5, 1.0, 1.5]), R=2000, seed=5), [-2.0, -1.4, -1.0, -0.7]),
+        (logit_mc_model(2, R=2000, seed=7), [-1.4, -1.0]),
+        (
+            rc_logit_model(np.random.default_rng(8).normal(size=(8, 2)), np.array([0.5, 1.0]), R=2000, seed=8),
+            np.linspace(-2.0, -0.7, 8),
+        ),
     ],
-    ids=lambda m: m.label,
+    ids=["logit-mc", "rc-logit", "bridge", "logit-mc-Z2", "rc-logit-Z8"],
 )
-def test_mc_sweep_equals_per_good_order_statistic(model):
+def test_mc_sweep_equals_per_good_order_statistic(model, center):
     # reference: for each good alone, the switch points of every consumer
     # against its best rival, and the order statistic that lifts the
     # simulated share to the target
     system = build_demand_system(model)
     D = model.draws
-    R = D.shape[0]
+    R, Z = D.shape
     lo_in = model.bounds.lower + BOUND_MARGIN
     hi_in = model.bounds.upper - BOUND_MARGIN
     # negative qualities near the bridge's tested range, where every route
     # keeps some consumers; a switch point at or above 0 leaves the bridge's
     # range, so both sides are compared clipped into the box
-    center = np.array([-2.0, -1.4, -1.0, -0.7])
+    center = np.asarray(center)
     rng = np.random.default_rng(6)
-    checked = 0
-    for _ in range(10):
-        p = np.minimum(center + rng.normal(0.0, 0.5, 4), -0.05)
-        q = demand_mc(model, np.minimum(center + rng.normal(0.0, 0.05, 4), -0.05))
-        if np.any(q == 0):
-            continue
-        checked += 1
-        pin = int(rng.integers(4))
+
+    def check_sweep(q, p, pin):
         got = np.clip(system.sweep_solver(q, p, pin), lo_in, hi_in)
-        for z in range(4):
+        for z in range(Z):
             if z == pin:
                 continue
             U = p[None, :] + D
@@ -290,6 +353,21 @@ def test_mc_sweep_equals_per_good_order_statistic(model):
             t_r = np.sort(U.max(axis=1) - D[:, z])
             k = int(np.ceil(q[z] * R - 1e-9))
             assert got[z] == np.clip(t_r[k - 1], lo_in[z], hi_in[z])
+        return got
+
+    checked = 0
+    for _ in range(10):
+        p = np.minimum(center + rng.normal(0.0, 0.5, Z), -0.05)
+        q = demand_mc(model, np.minimum(center + rng.normal(0.0, 0.05, Z), -0.05))
+        if np.any(q == 0):
+            continue
+        checked += 1
+        pin = int(rng.integers(Z))
+        # the next sweep starts from this one's roots, which sit on
+        # consumers' switch points
+        roots = check_sweep(q, p, pin)
+        roots[pin] = p[pin]
+        check_sweep(q, roots, pin)
     assert checked >= 3
 
 
